@@ -17,8 +17,6 @@ from .errors import (
 )
 from .grid import Grid
 from .kummer import (
-    DEFAULT_CONTROLS,
-    SeriesControls,
     gamma,
     kummer_m,
     kummer_m_derivative,

@@ -14,7 +14,7 @@ class PoleArgument(SusypivError):
 
 
 class NoConvergence(SusypivError):
-    """Series failed to meet the term tolerance within max_terms, or overflowed."""
+    """Series failed to meet the term tolerance within its term budget, or overflowed."""
 
 
 class DegreeTooLarge(SusypivError):

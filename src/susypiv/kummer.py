@@ -1,25 +1,32 @@
 """Confluent hypergeometric function M = 1F1 and the Gamma function for
 complex parameters.
 
-Everything here is tuned for arguments on the nonnegative real axis
-(z = x**2), where the Maclaurin terms share phase and direct summation is
-benign.  Past ``asymptotic_switch`` the dominant large-argument expansion
-Gamma(b)/Gamma(a) * exp(z) * z**(a-b) * S(1/z) takes over; the recessive
-second branch is exponentially small there and is dropped.  General complex
-z away from that axis is out of scope.
-"""
+``kummer_m`` is the Maclaurin sum alone (DLMF 13.2.2), for the arguments the
+seed uses: z = x**2 on the nonnegative real axis.  There the terms end up
+sharing phase once n passes |a|; for large negative Re a the first |Re a|
+terms alternate and cancel, which costs digits (about 7 at a = -20).  The
+term budget is derived from the inputs: the terms peak near n = |z| and fall
+below the tolerance about 8.6 sqrt|z| terms later, so max|z| +
+12 sqrt(max|z|) + max|a| + 60 terms leave a margin.  M grows like
+exp(z) z**(a-b) and overflows the double range near z = 709 (|x| = 26.6 in
+seed coordinates), earlier for large Re a; there NoConvergence is raised.
+General complex z away from the real axis is out of scope."""
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergence, PoleArgument, PoleParameter
 
-_ASYMPTOTIC_MAX_TERMS = 120
+_TERM_TOLERANCE = 1e-16
+# Convergence is tested every _CHECK_EVERY terms.  Points are summed in blocks
+# of _BLOCK along the last axis, so each block stops at its own term count and
+# the temporaries stay bounded on large grids.
+_CHECK_EVERY = 4
+_BLOCK = 8192
 
 # Fixed published rational-approximation coefficients (g = 7, n = 9); good
 # for ~1e-13 relative accuracy away from the poles.
@@ -38,28 +45,9 @@ _LANCZOS = (
 
 
 def _nonpositive_integer(w) -> bool:
-    w = complex(w)
-    return w.imag == 0.0 and w.real <= 0.0 and w.real == round(w.real)
-
-
-@dataclass(frozen=True)
-class SeriesControls:
-    """Stopping and switching controls for the 1F1 evaluation."""
-
-    max_terms: int = 500
-    term_tolerance: float = 1e-16
-    asymptotic_switch: float = 30.0
-
-    def __post_init__(self):
-        if self.max_terms < 50:
-            raise ValueError("max_terms must be at least 50")
-        if not 0.0 < self.term_tolerance < 1.0:
-            raise ValueError("term_tolerance must lie in (0, 1)")
-        if self.asymptotic_switch <= 0.0:
-            raise ValueError("asymptotic_switch must be positive")
-
-
-DEFAULT_CONTROLS = SeriesControls()
+    """True when any entry of ``w`` is 0, -1, -2, ..."""
+    w = np.asarray(w, dtype=complex)
+    return bool(np.any((w.imag == 0.0) & (w.real <= 0.0) & (w.real == np.round(w.real))))
 
 
 def gamma(z) -> complex:
@@ -77,77 +65,71 @@ def gamma(z) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
 
 
-def _maclaurin(a, b, z, controls):
-    # Direct sum; stops once two consecutive term ratios fall below the
-    # tolerance.  Terminating series (a a nonpositive integer) hit an exact
-    # zero term and stop the same way.
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    prev_small = np.zeros(z.shape, dtype=bool)
-    for n in range(controls.max_terms):
-        term = term * ((a + n) * z) / ((b + n) * (n + 1.0))
-        total = total + term
-        small = np.abs(term) <= controls.term_tolerance * np.abs(total)
-        if n >= 1 and bool(np.all(small & prev_small)):
-            return total
-        prev_small = small
-    raise NoConvergence(
-        f"1F1 series not converged after {controls.max_terms} terms "
-        f"(a={a}, b={b}, max|z|={float(np.max(np.abs(z))):.3g})"
-    )
+def _maclaurin(a, b, z, budget):
+    # Stops once two consecutive terms fall below the tolerance relative to
+    # the running sum at every point; a terminating series (a a nonpositive
+    # integer) reaches exact zero terms and stops the same way.  The loop
+    # works in place, with ``term`` and ``prev`` swapping buffers each step.
+    # Overflow shows as a non-finite sum and is raised, not warned about.
+    shape = np.broadcast_shapes(a.shape, b.shape, z.shape)
+    total = np.ones(shape, dtype=complex)
+    term = np.ones(shape, dtype=complex)
+    prev = np.empty(shape, dtype=complex)
+    ratio = np.empty(shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(budget):
+            np.multiply((a + n) / ((b + n) * (n + 1.0)), z, out=ratio)
+            np.multiply(term, ratio, out=prev)
+            term, prev = prev, term
+            total += term
+            if n % _CHECK_EVERY == _CHECK_EVERY - 1:
+                bound = _TERM_TOLERANCE * np.abs(total)
+                small = (np.abs(term) <= bound) & (np.abs(prev) <= bound)
+                if bool(np.all(small)) and bool(np.all(np.isfinite(total))):
+                    return total
+    z_max = float(np.max(np.abs(z)))
+    if not bool(np.all(np.isfinite(total))):
+        raise NoConvergence(f"1F1 overflowed the double range (max|z|={z_max:.3g})")
+    raise NoConvergence(f"1F1 series not converged after {budget} terms (max|z|={z_max:.3g})")
 
 
-def _asymptotic(a, b, z, controls):
-    # Dominant branch only; the divergent tail is truncated at the smallest
-    # term per entry.
-    s = np.ones_like(z)
-    term = np.ones_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    last = np.abs(term)
-    tol = controls.term_tolerance
-    for n in range(_ASYMPTOTIC_MAX_TERMS):
-        term = term * ((b - a + n) * (1.0 - a + n)) / ((n + 1.0) * z)
-        mag = np.abs(term)
-        active &= mag < last
-        s = np.where(active, s + term, s)
-        if bool(np.all((mag <= tol * np.abs(s)) | ~active)):
-            break
-        last = mag
-    pref = (gamma(b) / gamma(a)) * np.exp(z) * np.exp((a - b) * np.log(z))
-    return pref * s
+def _columns(v, block):
+    # Only operands that vary along the last axis are sliced; the rest broadcast.
+    return v[..., block] if v.ndim and v.shape[-1] > 1 else v
 
 
-def kummer_m(a, b, z, controls: SeriesControls = DEFAULT_CONTROLS):
-    """1F1(a, b; z) for complex parameters; ``z`` may be a scalar or ndarray.
+def kummer_m(a, b, z):
+    """1F1(a, b; z) by its Maclaurin series; ``a``, ``b`` and ``z`` broadcast.
 
-    Maclaurin series below ``asymptotic_switch`` in |z|, large-argument
-    expansion above.  The dominant exponential overflows past z ~ 709
-    (|x| ~ 27 in seed coordinates), which raises NoConvergence.
+    Returns a complex when every input is a scalar, else an ndarray of the
+    broadcast shape.  Raises PoleParameter when b is a nonpositive integer
+    and NoConvergence for non-finite input or when the sum overflows (real z
+    past about 709).
     """
-    a = complex(a)
-    b = complex(b)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    z = np.asarray(z, dtype=complex)
     if _nonpositive_integer(b):
         raise PoleParameter(f"1F1 parameter b={b} is a nonpositive integer")
-    z_in = np.asarray(z, dtype=complex)
-    scalar = z_in.ndim == 0
-    zz = np.atleast_1d(z_in)
-    out = np.empty_like(zz)
-    if _nonpositive_integer(a):
-        # Terminating series: an exact polynomial, valid for every z.
-        out[...] = _maclaurin(a, b, zz, controls)
-    else:
-        near = np.abs(zz) <= controls.asymptotic_switch
-        if bool(near.any()):
-            out[near] = _maclaurin(a, b, zz[near], controls)
-        far = ~near
-        if bool(far.any()):
-            out[far] = _asymptotic(a, b, zz[far], controls)
-    if not bool(np.all(np.isfinite(out))):
-        raise NoConvergence(f"1F1 overflowed for a={a}, b={b}")
+    shape = np.broadcast_shapes(a.shape, b.shape, z.shape)
+    scalar = not shape
+    if scalar:
+        shape = (1,)
+        z = z.reshape(shape)
+    z_max = float(np.max(np.abs(z), initial=0.0))
+    reach = z_max + 12.0 * math.sqrt(z_max) + float(np.max(np.abs(a)))
+    if not math.isfinite(reach):
+        raise NoConvergence("1F1 input is not finite")
+    out = np.empty(shape, dtype=complex)
+    for start in range(0, shape[-1], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        out[..., block] = _maclaurin(
+            _columns(a, block), _columns(b, block), _columns(z, block), int(reach) + 60
+        )
     return complex(out[0]) if scalar else out
 
 
-def kummer_m_derivative(a, b, z, order: int = 1, controls: SeriesControls = DEFAULT_CONTROLS):
+def kummer_m_derivative(a, b, z, order: int = 1):
     """order-th z-derivative via the contiguous shift (a)_k/(b)_k M(a+k, b+k; z)."""
     if order < 1:
         raise ValueError("order must be a positive integer")
@@ -160,15 +142,16 @@ def kummer_m_derivative(a, b, z, order: int = 1, controls: SeriesControls = DEFA
             raise PoleParameter(f"1F1 parameter b+{k}={b + k} is a nonpositive integer")
         num *= a + k
         den *= b + k
-    return (num / den) * kummer_m(a + order, b + order, z, controls)
+    return (num / den) * kummer_m(a + order, b + order, z)
 
 
 def kummer_oracle(a, b, z, decimal_digits: int = 30):
-    """Reference 1F1: the same Maclaurin sum carried in mpmath arithmetic.
+    """Reference 1F1 from ``mpmath.hyp1f1`` at ``decimal_digits`` digits.
 
     Returns an mpmath complex so the extra digits survive; cast with
-    ``complex()`` for the double view.  Test-suite oracle, deliberately
-    independent of the double-precision evaluation path.
+    ``complex()`` for the double view.  Test-suite oracle: mpmath chooses its
+    own method for each argument and works in extended precision, so it is
+    independent of the double-precision sum above.
     """
     if not 0 < decimal_digits <= 50:
         raise ValueError("decimal_digits must lie in (0, 50]")
@@ -177,15 +160,4 @@ def kummer_oracle(a, b, z, decimal_digits: int = 30):
     import mpmath
 
     with mpmath.workdps(decimal_digits + 10):
-        aa = mpmath.mpmathify(complex(a))
-        bb = mpmath.mpmathify(complex(b))
-        zz = mpmath.mpmathify(complex(z))
-        total = mpmath.mpc(1)
-        term = mpmath.mpc(1)
-        cutoff = mpmath.mpf(10) ** (-(decimal_digits + 6))
-        for n in range(100000):
-            term = term * (aa + n) * zz / ((bb + n) * (n + 1))
-            total += term
-            if n >= 1 and abs(term) <= cutoff * abs(total):
-                return total
-    raise NoConvergence("oracle series did not converge")
+        return mpmath.mpc(mpmath.hyp1f1(complex(a), complex(b), complex(z)))

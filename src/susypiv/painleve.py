@@ -21,7 +21,6 @@ import numpy as np
 
 from . import seed
 from .errors import BadFamily, SingularPoint
-from .kummer import DEFAULT_CONTROLS, SeriesControls
 from .seed import TransformParams
 
 FAMILIES = (1, 2, 3)
@@ -107,15 +106,15 @@ def _logderiv_from_eval(ev: seed.SeedEvaluation, family: int, x: float) -> compl
     return beta + beta_pp / denom
 
 
-def extremal_logderiv(params: TransformParams, family: int, x, controls: SeriesControls = DEFAULT_CONTROLS) -> complex:
+def extremal_logderiv(params: TransformParams, family: int, x) -> complex:
     """(ln psi)' of the family's extremal state, in closed form."""
     _check_family(family)
     xf = float(x)
-    ev = seed.seed_eval(params, xf, controls)
+    ev = seed.seed_eval(params, xf)
     return _logderiv_from_eval(ev, family, xf)
 
 
-def piv_solution(params: TransformParams, family: int, x, controls: SeriesControls = DEFAULT_CONTROLS) -> PivPointEval:
+def piv_solution(params: TransformParams, family: int, x) -> PivPointEval:
     """g = -x - (ln psi)' with derivatives closed through the eigen relation.
 
     Shares the vectorized evaluation path, so scalar values agree bit-for-bit
@@ -123,9 +122,9 @@ def piv_solution(params: TransformParams, family: int, x, controls: SeriesContro
     """
     _check_family(family)
     xf = float(x)
-    ev = seed.seed_eval(params, xf, controls)
+    ev = seed.seed_eval(params, xf)
     _logderiv_from_eval(ev, family, xf)  # raises at the family's singular denominators
-    g, g_prime, g_pp, _ = family_grid_eval(params, family, np.asarray([xf]), controls)
+    g, g_prime, g_pp, _ = family_grid_eval(params, family, np.asarray([xf]))
     return PivPointEval(
         g=complex(g[0]), g_prime=complex(g_prime[0]), g_double_prime=complex(g_pp[0]), x=xf
     )
@@ -155,9 +154,9 @@ def piv_residual(point: PivPointEval, a, b) -> complex:
     return total
 
 
-def chain_functions(params: TransformParams, x, controls: SeriesControls = DEFAULT_CONTROLS) -> ChainTriple:
+def chain_functions(params: TransformParams, x) -> ChainTriple:
     """(-beta, x, beta); the member sum telescopes to x exactly."""
-    ev = seed.seed_eval(params, float(x), controls)
+    ev = seed.seed_eval(params, float(x))
     return ChainTriple(f1=-ev.beta, f2=complex(float(x)), f3=ev.beta)
 
 
@@ -175,14 +174,14 @@ class PivSolution:
         a, b = piv_parameters(params, family)
         return cls(family=family, params=params, a=a, b=b)
 
-    def eval(self, x, controls: SeriesControls = DEFAULT_CONTROLS) -> PivPointEval:
-        return piv_solution(self.params, self.family, x, controls)
+    def eval(self, x) -> PivPointEval:
+        return piv_solution(self.params, self.family, x)
 
-    def residual(self, x, controls: SeriesControls = DEFAULT_CONTROLS) -> complex:
-        return piv_residual(self.eval(x, controls), self.a, self.b)
+    def residual(self, x) -> complex:
+        return piv_residual(self.eval(x), self.a, self.b)
 
 
-def family_grid_eval(params: TransformParams, family: int, xs, controls: SeriesControls = DEFAULT_CONTROLS):
+def family_grid_eval(params: TransformParams, family: int, xs):
     """Vectorized (g, g', g'', denominators) over an array of positions.
 
     ``denominators`` maps quantity names to |.| arrays feeding the median
@@ -190,7 +189,7 @@ def family_grid_eval(params: TransformParams, family: int, xs, controls: SeriesC
     """
     _check_family(family)
     xs = np.asarray(xs, dtype=float)
-    u, up, beta, beta_prime = seed.seed_eval_grid(params, xs, controls)
+    u, up, beta, beta_prime = seed.seed_eval_grid(params, xs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         beta_pp = 2.0 * xs - 2.0 * beta * beta_prime
         vt = xs * xs - 2.0 * beta_prime
@@ -214,11 +213,11 @@ def family_grid_eval(params: TransformParams, family: int, xs, controls: SeriesC
         return -xs - h, -1.0 - h_prime, -h_pp, denominators
 
 
-def extremal_state_grid(params: TransformParams, family: int, xs, controls: SeriesControls = DEFAULT_CONTROLS):
+def extremal_state_grid(params: TransformParams, family: int, xs):
     """Unnormalized extremal-state samples over an array of positions."""
     _check_family(family)
     xs = np.asarray(xs, dtype=float)
-    u, _, beta, beta_prime = seed.seed_eval_grid(params, xs, controls)
+    u, _, beta, beta_prime = seed.seed_eval_grid(params, xs)
     if family == 1:
         return (beta_prime - 1.0) * u
     if family == 2:

@@ -16,10 +16,11 @@ import numpy as np
 from . import kummer
 from .errors import SingularPoint
 from .grid import Grid
-from .kummer import DEFAULT_CONTROLS, SeriesControls
 
 _DELTA_SINGULAR = 1e-10
 _ZERO_SCAN_REL = 1e-6
+# b of the two seed branches and of their contiguous shifts (see _branch_series).
+_BRANCH_B = np.array([0.5, 1.5, 1.5, 2.5])
 
 
 @dataclass(frozen=True)
@@ -64,38 +65,44 @@ def _branch_parameters(params: TransformParams):
     return (1.0 - eps) / 4.0, (3.0 - eps) / 4.0
 
 
-def seed_u(params: TransformParams, x, controls: SeriesControls = DEFAULT_CONTROLS):
+def _branch_series(params: TransformParams, xs, rows: int):
+    """The first ``rows`` of M(a1, 1/2), M(a2, 3/2), M(a1+1, 3/2), M(a2+1, 5/2)
+    at z = xs**2, summed in one kummer_m call."""
+    a1, a2 = _branch_parameters(params)
+    lead = (rows,) + (1,) * xs.ndim
+    a = np.array([a1, a2, a1 + 1.0, a2 + 1.0])[:rows].reshape(lead)
+    return kummer.kummer_m(a, _BRANCH_B[:rows].reshape(lead), xs * xs)
+
+
+def seed_u(params: TransformParams, x):
     """Seed solution e^{-x^2/2} [M(a1, 1/2; x^2) + (lam+i*kappa) x M(a2, 3/2; x^2)].
 
     ``x`` may be a scalar or ndarray.
     """
-    a1, a2 = _branch_parameters(params)
     x_in = np.asarray(x, dtype=float)
     scalar = x_in.ndim == 0
     xs = np.atleast_1d(x_in)
-    z = (xs * xs).astype(complex)
-    m1 = kummer.kummer_m(a1, 0.5, z, controls)
-    m2 = kummer.kummer_m(a2, 1.5, z, controls)
-    u = np.exp(-0.5 * xs * xs) * (m1 + params.coefficient * xs * m2)
+    m1, m2 = np.exp(-0.5 * xs * xs) * _branch_series(params, xs, 2)
+    u = m1 + params.coefficient * xs * m2
     return complex(u[0]) if scalar else u
 
 
-def _u_and_derivative(params, xs, controls):
-    """u and u' on an ndarray of positions (no singular screening)."""
+def _u_and_derivative(params, xs):
+    """u and u' on an ndarray of positions (no singular screening).
+
+    M' comes from the contiguous shift M'(a, b; z) = (a/b) M(a+1, b+1; z).
+    The envelope e^{-x^2/2} scales each series before they are combined, so
+    nothing overflows while every M is finite.
+    """
     a1, a2 = _branch_parameters(params)
     c = params.coefficient
-    z = (xs * xs).astype(complex)
-    m1 = kummer.kummer_m(a1, 0.5, z, controls)
-    m2 = kummer.kummer_m(a2, 1.5, z, controls)
-    dm1 = kummer.kummer_m_derivative(a1, 0.5, z, 1, controls)
-    dm2 = kummer.kummer_m_derivative(a2, 1.5, z, 1, controls)
-    w = m1 + c * xs * m2
-    w_prime = 2.0 * xs * dm1 + c * m2 + 2.0 * c * (xs * xs) * dm2
-    envelope = np.exp(-0.5 * xs * xs)
-    return envelope * w, envelope * (w_prime - xs * w)
+    m1, m2, s1, s2 = np.exp(-0.5 * xs * xs) * _branch_series(params, xs, 4)
+    u = m1 + c * xs * m2
+    u_prime = 2.0 * xs * (a1 / 0.5) * s1 + c * m2 + 2.0 * c * (xs * xs) * (a2 / 1.5) * s2
+    return u, u_prime - xs * u
 
 
-def seed_eval(params: TransformParams, x, controls: SeriesControls = DEFAULT_CONTROLS) -> SeedEvaluation:
+def seed_eval(params: TransformParams, x) -> SeedEvaluation:
     """Point evaluation with log-derivative fields.
 
     Raises SingularPoint within rounding distance of a real node of u;
@@ -103,7 +110,7 @@ def seed_eval(params: TransformParams, x, controls: SeriesControls = DEFAULT_CON
     the vectorized path so scalar and grid evaluations agree bit-for-bit.
     """
     xf = float(x)
-    u, up, beta, beta_prime = seed_eval_grid(params, np.asarray([xf]), controls)
+    u, up, beta, beta_prime = seed_eval_grid(params, np.asarray([xf]))
     u0 = complex(u[0])
     up0 = complex(up[0])
     if abs(u0) <= _DELTA_SINGULAR * (1.0 + abs(up0)):
@@ -113,14 +120,14 @@ def seed_eval(params: TransformParams, x, controls: SeriesControls = DEFAULT_CON
     )
 
 
-def seed_eval_grid(params: TransformParams, xs, controls: SeriesControls = DEFAULT_CONTROLS):
+def seed_eval_grid(params: TransformParams, xs):
     """Vectorized (u, u', beta, beta') over an array of positions.
 
     No singular screening: division at an exact node produces non-finite
     entries, which grid consumers mask via the median exclusion rule.
     """
     xs = np.asarray(xs, dtype=float)
-    u, up = _u_and_derivative(params, xs, controls)
+    u, up = _u_and_derivative(params, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = up / u
     beta_prime = xs * xs - params.epsilon - beta * beta
@@ -135,7 +142,7 @@ def real_case_lambda(nu: float, epsilon: float) -> float:
     return 2.0 * nu * (g_num / g_den).real
 
 
-def locate_real_zeros(params: TransformParams, grid: Grid, controls: SeriesControls = DEFAULT_CONTROLS):
+def locate_real_zeros(params: TransformParams, grid: Grid):
     """Grid points adjacent to real zeros of u; an empty list means node-free.
 
     A point qualifies when |u| drops below 1e-6 of the grid median, or when
@@ -143,7 +150,7 @@ def locate_real_zeros(params: TransformParams, grid: Grid, controls: SeriesContr
     component negligible over the whole grid counts as changing).
     """
     xs = grid.points()
-    u = seed_u(params, xs, controls)
+    u = seed_u(params, xs)
     au = np.abs(u)
     med = float(np.median(au))
     flagged = np.zeros(xs.shape, dtype=bool)

@@ -17,41 +17,40 @@ import numpy as np
 from . import oscillator, seed
 from .errors import NotNormalizable
 from .grid import Grid
-from .kummer import DEFAULT_CONTROLS, SeriesControls
 from .seed import TransformParams
 
 _TAIL_REL = 1e-6
 _OVERFLOW = 1e300
 
 
-def partner_potential(params: TransformParams, x, controls: SeriesControls = DEFAULT_CONTROLS):
+def partner_potential(params: TransformParams, x):
     """Partner potential x^2 - 2 beta'; scalar or ndarray positions."""
     x_in = np.asarray(x, dtype=float)
     if x_in.ndim == 0:
-        ev = seed.seed_eval(params, float(x_in), controls)
+        ev = seed.seed_eval(params, float(x_in))
         return ev.x * ev.x - 2.0 * ev.beta_prime
-    _, _, _, beta_prime = seed.seed_eval_grid(params, x_in, controls)
+    _, _, _, beta_prime = seed.seed_eval_grid(params, x_in)
     return x_in * x_in - 2.0 * beta_prime
 
 
-def partner_eigenfunction(params: TransformParams, n: int, x, controls: SeriesControls = DEFAULT_CONTROLS):
+def partner_eigenfunction(params: TransformParams, n: int, x):
     """Image of oscillator level n under the transformation: -psi_n' + beta psi_n."""
     x_in = np.asarray(x, dtype=float)
     if x_in.ndim == 0:
         xf = float(x_in)
-        ev = seed.seed_eval(params, xf, controls)
+        ev = seed.seed_eval(params, xf)
         return -oscillator.eigenfunction_derivative(n, xf) + ev.beta * oscillator.eigenfunction(n, xf)
-    _, _, beta, _ = seed.seed_eval_grid(params, x_in, controls)
+    _, _, beta, _ = seed.seed_eval_grid(params, x_in)
     return -oscillator.eigenfunction_derivative(n, x_in) + beta * oscillator.eigenfunction(n, x_in)
 
 
-def new_state(params: TransformParams, x, controls: SeriesControls = DEFAULT_CONTROLS):
+def new_state(params: TransformParams, x):
     """The eigenstate at the factorization energy: 1/u."""
     x_in = np.asarray(x, dtype=float)
     if x_in.ndim == 0:
-        ev = seed.seed_eval(params, float(x_in), controls)
+        ev = seed.seed_eval(params, float(x_in))
         return 1.0 / ev.u
-    u = seed.seed_u(params, x_in, controls)
+    u = seed.seed_u(params, x_in)
     with np.errstate(divide="ignore", invalid="ignore"):
         return 1.0 / u
 
@@ -100,14 +99,14 @@ class PartnerSystem:
     params: TransformParams
     grid: Grid
 
-    def potential_values(self, controls: SeriesControls = DEFAULT_CONTROLS):
-        return partner_potential(self.params, self.grid.points(), controls)
+    def potential_values(self):
+        return partner_potential(self.params, self.grid.points())
 
-    def eigenfunction_values(self, n: int, controls: SeriesControls = DEFAULT_CONTROLS):
-        return partner_eigenfunction(self.params, n, self.grid.points(), controls)
+    def eigenfunction_values(self, n: int):
+        return partner_eigenfunction(self.params, n, self.grid.points())
 
-    def new_state_values(self, controls: SeriesControls = DEFAULT_CONTROLS):
-        return new_state(self.params, self.grid.points(), controls)
+    def new_state_values(self):
+        return new_state(self.params, self.grid.points())
 
     def spectrum(self, n_max: int):
         return spectrum(self.params, n_max)

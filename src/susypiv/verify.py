@@ -18,7 +18,6 @@ import numpy as np
 from . import oscillator, painleve, seed
 from .errors import AllPointsExcluded, EvaluationFailed, SusypivError
 from .grid import Grid
-from .kummer import DEFAULT_CONTROLS, SeriesControls
 from .seed import TransformParams
 
 EXCLUDE_REL = 1e-6
@@ -123,18 +122,18 @@ def _capped(h, beta):
     return np.minimum(h, _POLE_CAP / (1.0 + np.abs(beta)))
 
 
-def _schrodinger_rel(params, xs, h, controls):
-    u, up, _, _ = seed.seed_eval_grid(params, xs, controls)
-    upp = _fd2(lambda t: seed.seed_u(params, t, controls), xs, h)
+def _schrodinger_rel(params, xs, h):
+    u, up, _, _ = seed.seed_eval_grid(params, xs)
+    upp = _fd2(lambda t: seed.seed_u(params, t), xs, h)
     eps = params.epsilon
     resid = -upp + xs * xs * u - eps * u
     scale = 1.0 + np.abs(upp) + np.abs(xs * xs * u) + np.abs(eps * u)
     return np.abs(resid) / scale, {"u": (np.abs(u), 1.0 + np.abs(up))}
 
 
-def _riccati_rel(params, xs, h, controls):
-    u, up, beta, _ = seed.seed_eval_grid(params, xs, controls)
-    beta_fn = lambda t: seed.seed_eval_grid(params, t, controls)[2]
+def _riccati_rel(params, xs, h):
+    u, up, beta, _ = seed.seed_eval_grid(params, xs)
+    beta_fn = lambda t: seed.seed_eval_grid(params, t)[2]
     beta_p = _fd1(beta_fn, xs, _capped(h, beta))
     eps = params.epsilon
     resid = beta_p + beta * beta - xs * xs + eps
@@ -142,8 +141,8 @@ def _riccati_rel(params, xs, h, controls):
     return np.abs(resid) / scale, {"u": (np.abs(u), 1.0 + np.abs(up))}
 
 
-def _piv_rel(params, family, xs, controls):
-    g, gp, gpp, denoms = painleve.family_grid_eval(params, family, xs, controls)
+def _piv_rel(params, family, xs):
+    g, gp, gpp, denoms = painleve.family_grid_eval(params, family, xs)
     a, b = painleve.piv_parameters(params, family)
     with np.errstate(all="ignore"):
         terms = painleve.piv_residual_terms(g, gp, gpp, xs, a, b)
@@ -154,11 +153,11 @@ def _piv_rel(params, family, xs, controls):
         return np.abs(resid) / scale, denoms
 
 
-def _eigen_rel(params, n, xs, h, controls):
-    u, up, beta, beta_p = seed.seed_eval_grid(params, xs, controls)
+def _eigen_rel(params, n, xs, h):
+    u, up, beta, beta_p = seed.seed_eval_grid(params, xs)
 
     def psi_t(t):
-        b_t = seed.seed_eval_grid(params, t, controls)[2]
+        b_t = seed.seed_eval_grid(params, t)[2]
         return -oscillator.eigenfunction_derivative(n, t) + b_t * oscillator.eigenfunction(n, t)
 
     f = -oscillator.eigenfunction_derivative(n, xs) + beta * oscillator.eigenfunction(n, xs)
@@ -170,12 +169,12 @@ def _eigen_rel(params, n, xs, h, controls):
     return np.abs(resid) / scale, {"u": (np.abs(u), 1.0 + np.abs(up))}
 
 
-def _new_state_rel(params, xs, h, controls):
-    u, up, beta, beta_p = seed.seed_eval_grid(params, xs, controls)
+def _new_state_rel(params, xs, h):
+    u, up, beta, beta_p = seed.seed_eval_grid(params, xs)
 
     def psi_t(t):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / seed.seed_u(params, t, controls)
+            return 1.0 / seed.seed_u(params, t)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         f = 1.0 / u
@@ -187,7 +186,7 @@ def _new_state_rel(params, xs, h, controls):
     return np.abs(resid) / scale, {"u": (np.abs(u), 1.0 + np.abs(up))}
 
 
-def _annihilation_rel(params, xs, h, controls):
+def _annihilation_rel(params, xs, h):
     # Third-order lowering operator (-d+beta)(d+x)(d+beta) applied to 1/u by
     # nested differencing; the exact result is zero.  The innermost difference
     # is the only one whose truncation sees the full pole cascade of 1/u, so
@@ -196,12 +195,12 @@ def _annihilation_rel(params, xs, h, controls):
     # noise amplification down.
     def psi(t):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / seed.seed_u(params, t, controls)
+            return 1.0 / seed.seed_u(params, t)
 
     def beta_at(t):
-        return seed.seed_eval_grid(params, t, controls)[2]
+        return seed.seed_eval_grid(params, t)[2]
 
-    u, up, b0, _ = seed.seed_eval_grid(params, xs, controls)
+    u, up, b0, _ = seed.seed_eval_grid(params, xs)
     p0 = psi(xs)
     h_inner = np.minimum(h, _NESTED_CAP / (1.0 + np.abs(b0)))
     h_outer = _H_NESTED_OUTER
@@ -261,7 +260,6 @@ def residual_report(
     grid: Grid,
     n: int | None = None,
     h: float | None = None,
-    controls: SeriesControls = DEFAULT_CONTROLS,
 ) -> ResidualReport:
     """Relative residual statistics for one construction over a grid.
 
@@ -272,20 +270,20 @@ def residual_report(
     label = kind
     forced = None
     if kind == "schrodinger":
-        rel, denoms = _schrodinger_rel(params, xs, h or _H_ORDER2, controls)
+        rel, denoms = _schrodinger_rel(params, xs, h or _H_ORDER2)
     elif kind == "riccati":
-        rel, denoms = _riccati_rel(params, xs, h or _H_ORDER1, controls)
+        rel, denoms = _riccati_rel(params, xs, h or _H_ORDER1)
     elif kind in ("piv_family_1", "piv_family_2", "piv_family_3"):
-        rel, denoms = _piv_rel(params, int(kind[-1]), xs, controls)
+        rel, denoms = _piv_rel(params, int(kind[-1]), xs)
     elif kind == "eigen":
         if n is None or not 0 <= n <= 10:
             raise ValueError("eigen residual requires 0 <= n <= 10")
-        rel, denoms = _eigen_rel(params, n, xs, h or _H_ORDER2, controls)
+        rel, denoms = _eigen_rel(params, n, xs, h or _H_ORDER2)
         label = f"eigen({n})"
     elif kind == "new_state":
-        rel, denoms = _new_state_rel(params, xs, h or _H_ORDER2, controls)
+        rel, denoms = _new_state_rel(params, xs, h or _H_ORDER2)
     elif kind == "annihilation":
-        rel, denoms, forced = _annihilation_rel(params, xs, h or _H_NESTED_INNER, controls)
+        rel, denoms, forced = _annihilation_rel(params, xs, h or _H_NESTED_INNER)
     else:
         raise ValueError(f"unknown residual kind {kind!r}")
 

@@ -1,16 +1,15 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from susypiv import (
-    DEFAULT_CONTROLS,
     NoConvergence,
     PoleArgument,
     PoleParameter,
-    SeriesControls,
     fd_derivative,
     gamma,
     kummer_m,
@@ -22,6 +21,25 @@ from susypiv import (
 E_30_DIGITS = "2.718281828459045235360287471353"
 M_QUARTER_HALF_ONE = 1.7885868286208679464  # M(1/4, 1/2; 1)
 GAMMA_HALF_PLUS_HALF_I = 0.8181639995417473 - 0.7633138287139826j
+M_QUARTER_HALF_64 = "1080907700788622359697286448.1626114"  # M(1/4, 1/2; 64)
+# M((1-eps)/4, 1/2; 1) at eps = -1+i.
+M_SEED_EPS_M1_P1I = ("2.6405522439161810335166963423178", "-1.0024993168952996762619377837445")
+
+# Seeds whose branch parameters (1-eps)/4, (3-eps)/4 span small and large |a|
+# of both signs.  81+0.5i loses about 7 digits to cancellation between the
+# first |Re a| = 20 alternating terms.
+SWEEP_EPSILONS = [
+    3 + 1e-3j,
+    5 + 1e-3j,
+    9 + 1e-6j,
+    21 + 0.5j,
+    -40 + 1j,
+    41 + 0.5j,
+    pytest.param(
+        81 + 0.5j,
+        marks=pytest.mark.xfail(strict=True, reason="cancellation costs about 7 digits"),
+    ),
+]
 
 
 class TestKummerM:
@@ -38,7 +56,7 @@ class TestKummerM:
         assert abs(got - M_QUARTER_HALF_ONE) <= 1e-12 * M_QUARTER_HALF_ONE
 
     def test_series_asymptotic_sweep_against_oracle(self):
-        # |z| in [0, 100] crossing the switch; complex parameters included.
+        # |z| in [0, 100]; complex parameters included.
         pairs = [((1 - (-1 + 1j)) / 4, 0.5), ((3 - (-1 + 1j)) / 4, 1.5), (0.25, 0.5)]
         zs = np.concatenate([np.linspace(0.0, 100.0, 40), np.linspace(28.8, 31.2, 20)])
         for a, b in pairs:
@@ -47,23 +65,18 @@ class TestKummerM:
                 got = kummer_m(a, b, z)
                 assert abs(got - ref) <= 1e-9 * abs(ref), (a, b, z)
 
-    def test_crossover_continuity(self):
-        switch = DEFAULT_CONTROLS.asymptotic_switch
-        for a, b in [(0.25, 0.5), ((1 - (-1 + 1j)) / 4, 0.5)]:
-            for z in (switch * (1 - 1e-3), switch * (1 + 1e-3)):
-                ref = complex(kummer_oracle(a, b, z, 25))
-                got = kummer_m(a, b, z)
-                assert abs(got - ref) <= 1e-7 * abs(ref)
-
-    def test_branch_consistency_with_custom_switch(self):
-        # Same z evaluated by the series (switch raised) and by the
-        # asymptotic expansion (default switch) must agree.
-        series_controls = SeriesControls(asymptotic_switch=50.0)
-        z = 40.0
-        a, b = 0.3 - 0.1j, 1.5
-        via_series = kummer_m(a, b, z, series_controls)
-        via_asymptotic = kummer_m(a, b, z)
-        assert abs(via_series - via_asymptotic) <= 1e-9 * abs(via_series)
+    @pytest.mark.parametrize("eps", SWEEP_EPSILONS)
+    def test_seed_branches_against_oracle_to_600(self, eps):
+        # Both seed branches in one broadcast call, z = x**2 up to |x| = 24.5.
+        a = np.array([(1 - eps) / 4, (3 - eps) / 4])
+        b = np.array([0.5, 1.5])
+        zs = np.linspace(0.0, 600.0, 61)
+        got = kummer_m(a[:, None], b[:, None], zs)
+        assert got.shape == (2, zs.size)
+        for i in range(2):
+            for z, v in zip(zs, got[i]):
+                ref = complex(kummer_oracle(a[i], b[i], z, 25))
+                assert abs(v - ref) <= 1e-9 * abs(ref), (eps, i, z)
 
     def test_array_argument_matches_scalar(self):
         zs = np.array([0.0, 1.5, 29.0, 64.0], dtype=complex)
@@ -72,7 +85,7 @@ class TestKummerM:
             assert v == kummer_m(0.25, 0.5, z)
 
     def test_terminating_series_is_polynomial(self):
-        # a = -1 gives M(-1, 1/2; z) = 1 - 2z for any z, even past the switch.
+        # a = -1 gives M(-1, 1/2; z) = 1 - 2z for any z.
         for z in (0.5, 64.0):
             got = kummer_m(-1.0, 0.5, z)
             assert abs(got - (1.0 - 2.0 * z)) <= 1e-13 * max(1.0, abs(1.0 - 2.0 * z))
@@ -84,9 +97,12 @@ class TestKummerM:
             kummer_m(0.5, -2.0, 1.0)
 
     def test_no_convergence_raises(self):
-        tight = SeriesControls(max_terms=50, term_tolerance=1e-16)
-        with pytest.raises(NoConvergence):
-            kummer_m(0.25, 0.5, 29.0, tight)
+        # M(1/4, 1/2; 800) ~ e^800 overflows the double range: a typed error,
+        # not a numpy RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match="overflowed"):
+                kummer_m(0.25, 0.5, 800.0)
 
 
 class TestKummerDerivative:
@@ -127,10 +143,9 @@ class TestKummerOracle:
             assert mpmath.fabs(got - mpmath.mpf(E_30_DIGITS)) < mpmath.mpf(10) ** -29
 
     def test_crossover_reference_value(self):
-        # Reference for the switch region, checked against mpmath's own 1F1.
         got = kummer_oracle(0.25, 0.5, 64.0, 30)
         with mpmath.workdps(40):
-            ref = mpmath.hyp1f1(0.25, 0.5, 64)
+            ref = mpmath.mpf(M_QUARTER_HALF_64)
             assert mpmath.fabs(got - ref) / mpmath.fabs(ref) < mpmath.mpf(10) ** -25
 
     def test_seed_parameter_reference(self):
@@ -138,7 +153,7 @@ class TestKummerOracle:
         a = (1.0 - eps) / 4.0
         got = kummer_oracle(a, 0.5, 1.0, 30)
         with mpmath.workdps(40):
-            ref = mpmath.hyp1f1(mpmath.mpmathify(a), mpmath.mpf(1) / 2, 1)
+            ref = mpmath.mpc(*M_SEED_EPS_M1_P1I)
             assert mpmath.fabs(got - ref) / mpmath.fabs(ref) < mpmath.mpf(10) ** -25
 
     def test_digit_bound_validation(self):
@@ -180,13 +195,3 @@ class TestGamma:
         for z in (0.0, -1.0, -7.0):
             with pytest.raises(PoleArgument):
                 gamma(z)
-
-
-class TestSeriesControls:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            SeriesControls(max_terms=10)
-        with pytest.raises(ValueError):
-            SeriesControls(term_tolerance=1.5)
-        with pytest.raises(ValueError):
-            SeriesControls(asymptotic_switch=-1.0)

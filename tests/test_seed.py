@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,6 +44,20 @@ def test_against_oracle_assembly():
     want = math.exp(-0.5) * (o1 + (1.0 + 1.0j) * o2)
     got = seed_u(SET_1, 1.0)
     assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_finite_just_below_overflow_limit():
+    # At x = 26.6 the seed series reach 2e307; combined before the
+    # exp(-x**2/2) scaling they would overflow.
+    x = 26.6
+    eps = SET_1.epsilon
+    o1 = kummer_oracle((1.0 - eps) / 4.0, 0.5, x * x, 30)
+    o2 = kummer_oracle((3.0 - eps) / 4.0, 1.5, x * x, 30)
+    with mpmath.workdps(30):
+        want = complex(mpmath.exp(-x * x / 2) * (o1 + mpmath.mpc(1, 1) * x * o2))
+    values = seed_eval_grid(SET_1, np.array([x]))
+    assert all(bool(np.all(np.isfinite(v))) for v in values)
+    assert abs(values[0][0] - want) <= 1e-9 * abs(want)
 
 
 class TestSeedEval:
