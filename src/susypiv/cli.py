@@ -157,16 +157,13 @@ def _params_label(params: TransformParams) -> str:
 
 
 def _verify_plan():
-    plan = [
-        ("schrodinger", None),
-        ("riccati", None),
-        ("piv_family_1", None),
-        ("piv_family_2", None),
-        ("piv_family_3", None),
+    """(kind, level) for each report: every kind in verify.KINDS, with eigen
+    once per level in _EIGEN_LEVELS."""
+    return [
+        (kind, n)
+        for kind in verify.KINDS
+        for n in (_EIGEN_LEVELS if kind == "eigen" else (None,))
     ]
-    plan.extend(("eigen", n) for n in _EIGEN_LEVELS)
-    plan.extend([("new_state", None), ("annihilation", None)])
-    return plan
 
 
 def _run_verify(config: RunConfig, stream) -> int:

@@ -158,15 +158,25 @@ def locate_real_zeros(params: TransformParams, grid: Grid):
         flagged |= au < _ZERO_SCAN_REL * med
     else:
         flagged |= au == 0.0
-    scale = float(np.max(au))
-    if scale > 0.0:
-        re = u.real
-        im = u.imag
-        re_negligible = bool(np.max(np.abs(re)) < 1e-12 * scale)
-        im_negligible = bool(np.max(np.abs(im)) < 1e-12 * scale)
-        re_flip = re[:-1] * re[1:] < 0.0
-        im_flip = im[:-1] * im[1:] < 0.0
-        crossings = (re_flip | re_negligible) & (im_flip | im_negligible)
-        for i in np.nonzero(crossings)[0]:
-            flagged[i if au[i] <= au[i + 1] else i + 1] = True
+    for i in sign_change_brackets(u):
+        flagged[i if au[i] <= au[i + 1] else i + 1] = True
     return [float(v) for v in xs[flagged]]
+
+
+def sign_change_brackets(u):
+    """Indices i where Re u and Im u both change sign between u[i] and u[i+1].
+
+    A component below 1e-12 of max|u| over the whole array counts as changing
+    sign everywhere, so a real (or imaginary) u brackets its nodes by the
+    other component alone.  An all-zero u has no brackets.
+    """
+    top = float(np.max(np.abs(u), initial=0.0))
+    if top == 0.0:
+        return np.empty(0, dtype=int)
+    re, im = u.real, u.imag
+    re_negligible = bool(np.max(np.abs(re)) < 1e-12 * top)
+    im_negligible = bool(np.max(np.abs(im)) < 1e-12 * top)
+    crossing = ((re[:-1] * re[1:] < 0.0) | re_negligible) & (
+        (im[:-1] * im[1:] < 0.0) | im_negligible
+    )
+    return np.nonzero(crossing)[0]

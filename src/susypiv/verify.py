@@ -7,10 +7,22 @@ order-2 stencils default to h = 1e-3 while order-1 stencils keep h = 1e-4;
 the triple-nested annihilation stencil pays 1/h^3 and uses h = 5e-3.  Near a
 zero of u the truncation term grows like (h/d)^4 with d the distance to the
 zero, so beta-dependent stencils cap h at 0.02/(1+|beta|) pointwise.
+
+Every stencil goes through one engine, ``_on_offsets``: it stacks the grid
+shifted by each stencil offset, flattens the stack and evaluates the
+function over it in chunks of at most 4096 points, so a stencil costs one
+seed call per chunk instead of one per offset, and the series work space of
+each call stays bounded.  The nested annihilation stencil only ever needs its inner
+function at the lattice x + k*h_outer/2, k = -4..4; 1/u is evaluated once on
+those 9 shifts times the 5 inner offsets, beta once on the 8 nonzero shifts,
+and the outer differences are index arithmetic on the lattice rows.  The
+lattice takes the grid in blocks of 4096 points, so its 45 values per point
+stay bounded too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +41,11 @@ _H_NESTED_INNER = 5e-4
 _H_NESTED_OUTER = 5e-3
 _POLE_CAP = 0.02
 _NESTED_CAP = 2e-3
+# Largest number of stencil points handed to one function call.
+_CHUNK = 4096
+# Offsets, in units of h, of the Richardson stencils below.
+_D1_OFFSETS = (1.0, -1.0, 0.5, -0.5)
+_D2_OFFSETS = (0.0,) + _D1_OFFSETS
 
 KINDS = (
     "schrodinger",
@@ -40,6 +57,14 @@ KINDS = (
     "new_state",
     "annihilation",
 )
+
+_DEFAULT_H = {
+    "schrodinger": _H_ORDER2,
+    "riccati": _H_ORDER1,
+    "eigen": _H_ORDER2,
+    "new_state": _H_ORDER2,
+    "annihilation": _H_NESTED_INNER,
+}
 
 THRESHOLDS = {
     "schrodinger": 1e-7,
@@ -77,14 +102,35 @@ def threshold_for(kind_label: str) -> float:
     return THRESHOLDS[kind_label.split("(")[0]]
 
 
+def _step(h, default):
+    """The stencil step: ``default`` when ``h`` is None, else ``h`` checked."""
+    if h is None:
+        return default
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
+    return h
+
+
+def _d1(v, h):
+    """Richardson first derivative, O(h^4), from the values at _D1_OFFSETS."""
+    coarse = (v[0] - v[1]) / (2.0 * h)
+    fine = (v[2] - v[3]) / h
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _d2(v, h):
+    """Richardson second derivative, O(h^4), from the values at _D2_OFFSETS."""
+    centre = v[0]
+    coarse = (v[1] - 2.0 * centre + v[2]) / (h * h)
+    fine = (v[3] - 2.0 * centre + v[4]) / (0.25 * h * h)
+    return (4.0 * fine - coarse) / 3.0
+
+
 def fd_derivative(f, x, order: int = 1, h: float | None = None) -> complex:
     """Centered difference with one Richardson step (h and h/2); O(h^4)."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if h is None:
-        h = _H_ORDER1 if order == 1 else _H_ORDER2
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    h = _step(h, _H_ORDER1 if order == 1 else _H_ORDER2)
 
     def call(t):
         try:
@@ -96,26 +142,31 @@ def fd_derivative(f, x, order: int = 1, h: float | None = None) -> complex:
         return v
 
     if order == 1:
-        coarse = (call(x + h) - call(x - h)) / (2.0 * h)
-        fine = (call(x + 0.5 * h) - call(x - 0.5 * h)) / h
-    else:
-        centre = call(x)
-        coarse = (call(x + h) - 2.0 * centre + call(x - h)) / (h * h)
-        fine = (call(x + 0.5 * h) - 2.0 * centre + call(x - 0.5 * h)) / (0.25 * h * h)
-    return (4.0 * fine - coarse) / 3.0
+        return _d1([call(x + c * h) for c in _D1_OFFSETS], h)
+    return _d2([call(x + c * h) for c in _D2_OFFSETS], h)
+
+
+def _on_offsets(fn, xs, offsets):
+    """``fn`` at ``xs + d`` for each offset ``d``, shape (len(offsets),) + xs.shape.
+
+    Offsets are scalars or arrays that broadcast to ``xs.shape``.  All shifted
+    points are stacked, flattened and evaluated in calls of at most _CHUNK
+    points each.
+    """
+    points = np.stack([xs + d for d in offsets])
+    flat = points.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    for start in range(0, flat.size, _CHUNK):
+        out[start : start + _CHUNK] = fn(flat[start : start + _CHUNK])
+    return out.reshape(points.shape)
 
 
 def _fd1(fn, xs, h):
-    coarse = (fn(xs + h) - fn(xs - h)) / (2.0 * h)
-    fine = (fn(xs + 0.5 * h) - fn(xs - 0.5 * h)) / h
-    return (4.0 * fine - coarse) / 3.0
+    return _d1(_on_offsets(fn, xs, [c * h for c in _D1_OFFSETS]), h)
 
 
 def _fd2(fn, xs, h):
-    centre = fn(xs)
-    coarse = (fn(xs + h) - 2.0 * centre + fn(xs - h)) / (h * h)
-    fine = (fn(xs + 0.5 * h) - 2.0 * centre + fn(xs - 0.5 * h)) / (0.25 * h * h)
-    return (4.0 * fine - coarse) / 3.0
+    return _d2(_on_offsets(fn, xs, [c * h for c in _D2_OFFSETS]), h)
 
 
 def _capped(h, beta):
@@ -193,6 +244,27 @@ def _annihilation_rel(params, xs, h):
     # it takes a small (and beta-capped) step; the outer two differentiate a
     # function that is already ~0 and take wide steps to keep the 1/(h1 h2 h3)
     # noise amplification down.
+    u, up, b0, _ = seed.seed_eval_grid(params, xs)
+    h_inner = np.minimum(h, _NESTED_CAP / (1.0 + np.abs(b0)))
+    # The lattice holds 45 values of 1/u per grid point, so the grid goes
+    # through it in blocks of _CHUNK points to keep memory bounded.
+    blocks = [slice(i, i + _CHUNK) for i in range(0, xs.size, _CHUNK)]
+    rel = np.concatenate([_lowered_rel(params, xs[b], b0[b], h_inner[b]) for b in blocks])
+    # The wide outer stencils are not beta-capped, so near a *real* node of u
+    # they can straddle the pole of 1/u; those points are singular for this
+    # check and get excluded geometrically.
+    forced = _node_straddle_mask(u, xs, 2.0 * _H_NESTED_OUTER + float(np.max(h_inner)))
+    return rel, {"u": (np.abs(u), 1.0 + np.abs(up))}, forced
+
+
+def _lowered_rel(params, xs, b0, h_inner):
+    """|(-d+beta)(d+x)(d+beta)(1/u)| at ``xs`` over the sum of its terms' sizes.
+
+    Each outer difference reaches h_outer to either side in steps of
+    h_outer/2, so w1 = psi' + beta psi is needed only on the lattice
+    xs + k h_outer/2, k = -4..4 (rows 0..8; row 4 is xs, where beta = b0).
+    """
+
     def psi(t):
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / seed.seed_u(params, t)
@@ -200,57 +272,40 @@ def _annihilation_rel(params, xs, h):
     def beta_at(t):
         return seed.seed_eval_grid(params, t)[2]
 
-    u, up, b0, _ = seed.seed_eval_grid(params, xs)
-    p0 = psi(xs)
-    h_inner = np.minimum(h, _NESTED_CAP / (1.0 + np.abs(b0)))
     h_outer = _H_NESTED_OUTER
+    shifts = [k * 0.5 * h_outer for k in range(-4, 5)]
+    lattice = np.stack([xs + s for s in shifts])
+    beta = np.insert(_on_offsets(beta_at, xs, shifts[:4] + shifts[5:]), 4, b0, axis=0)
+    psi_at = _on_offsets(psi, lattice, [c * h_inner for c in _D2_OFFSETS])
+    p, d_psi = psi_at[0], _d1(psi_at[1:], h_inner)
+    w1 = d_psi + beta * p
 
-    def w1(t):
-        return _fd1(psi, t, h_inner) + beta_at(t) * psi(t)
+    def outer_d1(w):
+        # The first difference at each row with two lattice rows on either side.
+        return _d1((w[4:], w[:-4], w[3:-1], w[1:-3]), h_outer)
 
-    def w2(t):
-        return _fd1(w1, t, h_outer) + t * w1(t)
-
-    d_psi = _fd1(psi, xs, h_inner)
-    w1_0 = d_psi + b0 * p0
-    d_w1 = _fd1(w1, xs, h_outer)
-    w2_0 = d_w1 + xs * w1_0
-    d_w2 = _fd1(w2, xs, h_outer)
-    lowered = -d_w2 + b0 * w2_0
+    d_w1 = outer_d1(w1)
+    w2 = d_w1 + lattice[2:-2] * w1[2:-2]
+    d_w2 = outer_d1(w2)[0]
+    lowered = -d_w2 + b0 * w2[2]
     scale = (
         1.0
-        + np.abs(d_psi)
-        + np.abs(b0 * p0)
-        + np.abs(d_w1)
-        + np.abs(xs * w1_0)
+        + np.abs(d_psi[4])
+        + np.abs(b0 * p[4])
+        + np.abs(d_w1[2])
+        + np.abs(xs * w1[4])
         + np.abs(d_w2)
-        + np.abs(b0 * w2_0)
+        + np.abs(b0 * w2[2])
     )
-    # The wide outer stencils are not beta-capped, so near a *real* node of u
-    # they can straddle the pole of 1/u; those points are singular for this
-    # check and get excluded geometrically.
-    forced = _node_straddle_mask(u, xs, 2.0 * h_outer + float(np.max(h_inner)))
-    return np.abs(lowered) / scale, {"u": (np.abs(u), 1.0 + np.abs(up))}, forced
+    return np.abs(lowered) / scale
 
 
 def _node_straddle_mask(u, xs, reach):
     """Points whose stencil window may cross a sign-change bracket of u."""
     mask = np.zeros(xs.shape, dtype=bool)
-    if xs.size < 2:
-        return mask
-    top = float(np.max(np.abs(u)))
-    if top == 0.0:
-        return mask
-    re, im = u.real, u.imag
-    re_negligible = bool(np.max(np.abs(re)) < 1e-12 * top)
-    im_negligible = bool(np.max(np.abs(im)) < 1e-12 * top)
-    crossing = ((re[:-1] * re[1:] < 0.0) | re_negligible) & (
-        (im[:-1] * im[1:] < 0.0) | im_negligible
-    )
-    reach = reach + (xs[1] - xs[0])
-    for i in np.nonzero(crossing)[0]:
+    for i in seed.sign_change_brackets(u):
         node = 0.5 * (xs[i] + xs[i + 1])
-        mask |= np.abs(xs - node) <= reach
+        mask |= np.abs(xs - node) <= reach + (xs[1] - xs[0])
     return mask
 
 
@@ -264,26 +319,28 @@ def residual_report(
     """Relative residual statistics for one construction over a grid.
 
     Points where a construction denominator falls below 1e-6 of its grid
-    median are excluded and reported, not failed.
+    median are excluded and reported, not failed.  Raises ValueError when
+    ``h`` is given and is not positive and finite.
     """
     xs = grid.points()
     label = kind
     forced = None
+    h = _step(h, _DEFAULT_H.get(kind))
     if kind == "schrodinger":
-        rel, denoms = _schrodinger_rel(params, xs, h or _H_ORDER2)
+        rel, denoms = _schrodinger_rel(params, xs, h)
     elif kind == "riccati":
-        rel, denoms = _riccati_rel(params, xs, h or _H_ORDER1)
+        rel, denoms = _riccati_rel(params, xs, h)
     elif kind in ("piv_family_1", "piv_family_2", "piv_family_3"):
         rel, denoms = _piv_rel(params, int(kind[-1]), xs)
     elif kind == "eigen":
         if n is None or not 0 <= n <= 10:
             raise ValueError("eigen residual requires 0 <= n <= 10")
-        rel, denoms = _eigen_rel(params, n, xs, h or _H_ORDER2)
+        rel, denoms = _eigen_rel(params, n, xs, h)
         label = f"eigen({n})"
     elif kind == "new_state":
-        rel, denoms = _new_state_rel(params, xs, h or _H_ORDER2)
+        rel, denoms = _new_state_rel(params, xs, h)
     elif kind == "annihilation":
-        rel, denoms, forced = _annihilation_rel(params, xs, h or _H_NESTED_INNER)
+        rel, denoms, forced = _annihilation_rel(params, xs, h)
     else:
         raise ValueError(f"unknown residual kind {kind!r}")
 

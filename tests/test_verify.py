@@ -1,8 +1,10 @@
 import cmath
+import io
 
 import numpy as np
 import pytest
 
+from conftest import PARAM_IDS
 from susypiv import (
     AllPointsExcluded,
     EvaluationFailed,
@@ -15,6 +17,7 @@ from susypiv import (
     seed_u,
     threshold_for,
 )
+from susypiv import cli, kummer, seed, verify
 from susypiv.verify import BENCHMARK_PARAMS, THRESHOLDS
 
 SET_1 = BENCHMARK_PARAMS[0]
@@ -39,6 +42,8 @@ class TestFdDerivative:
             fd_derivative(lambda t: t, 0.0, order=3)
         with pytest.raises(ValueError):
             fd_derivative(lambda t: t, 0.0, order=1, h=0.0)
+        with pytest.raises(ValueError):
+            fd_derivative(lambda t: t, 0.0, order=1, h=float("nan"))
 
     def test_singular_stencil_point_fails(self):
         def f(t):
@@ -103,6 +108,149 @@ class TestResidualReport:
     def test_kind_label_carries_level(self, coarse_grid):
         report = residual_report("eigen", SET_1, coarse_grid, n=2)
         assert report.kind == "eigen(2)"
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", ["schrodinger", "annihilation"])
+    def test_rejects_bad_step(self, coarse_grid, kind, h):
+        # h = 0 used to fall back silently to the default step.
+        with pytest.raises(ValueError):
+            residual_report(kind, SET_1, coarse_grid, h=h)
+
+
+class TestStencilEngine:
+    def test_chunks_are_bounded_and_values_exact(self):
+        sizes = []
+
+        def fn(t):
+            sizes.append(t.size)
+            return np.exp(1j * t)
+
+        xs = np.linspace(-1.0, 1.0, 3001)
+        h = np.full(xs.shape, 1e-3)
+        offsets = [0.0, h, -h, 0.5 * h, -0.5 * h]
+        got = verify._on_offsets(fn, xs, offsets)
+        assert got.shape == (5, xs.size)
+        assert max(sizes) <= verify._CHUNK and sum(sizes) == 5 * xs.size
+        for row, d in zip(got, offsets):
+            np.testing.assert_array_equal(row, np.exp(1j * (xs + d)))
+
+    def test_default_verify_call_count(self, monkeypatch):
+        # One seed call per stencil chunk, not per stencil point: a default
+        # single-set run (11 reports on 1001 points) takes 37 kummer_m calls;
+        # one call per stencil offset took 194.
+        calls = []
+        original = kummer.kummer_m
+
+        def counting(a, b, z):
+            calls.append(1)
+            return original(a, b, z)
+
+        monkeypatch.setattr(kummer, "kummer_m", counting)
+        config = cli.RunConfig(
+            command="verify", epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0
+        )
+        assert cli.run(config, io.StringIO()) == 0
+        assert len(calls) <= 40
+
+
+def _nested_fd1(fn, xs, h):
+    coarse = (fn(xs + h) - fn(xs - h)) / (2.0 * h)
+    fine = (fn(xs + 0.5 * h) - fn(xs - 0.5 * h)) / h
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _nested_annihilation_rel(params, xs, h):
+    """Reference: the annihilation residual by literal nested differencing,
+    one seed call per stencil offset (150 per report)."""
+
+    def psi(t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / seed_u(params, t)
+
+    def beta_at(t):
+        return seed.seed_eval_grid(params, t)[2]
+
+    u, up, b0, _ = seed.seed_eval_grid(params, xs)
+    p0 = psi(xs)
+    h_inner = np.minimum(h, verify._NESTED_CAP / (1.0 + np.abs(b0)))
+    h_outer = verify._H_NESTED_OUTER
+
+    def w1(t):
+        return _nested_fd1(psi, t, h_inner) + beta_at(t) * psi(t)
+
+    def w2(t):
+        return _nested_fd1(w1, t, h_outer) + t * w1(t)
+
+    d_psi = _nested_fd1(psi, xs, h_inner)
+    w1_0 = d_psi + b0 * p0
+    d_w1 = _nested_fd1(w1, xs, h_outer)
+    w2_0 = d_w1 + xs * w1_0
+    d_w2 = _nested_fd1(w2, xs, h_outer)
+    lowered = -d_w2 + b0 * w2_0
+    scale = (
+        1.0
+        + np.abs(d_psi)
+        + np.abs(b0 * p0)
+        + np.abs(d_w1)
+        + np.abs(xs * w1_0)
+        + np.abs(d_w2)
+        + np.abs(b0 * w2_0)
+    )
+    forced = verify._node_straddle_mask(u, xs, 2.0 * h_outer + float(np.max(h_inner)))
+    return np.abs(lowered) / scale, {"u": (np.abs(u), 1.0 + np.abs(up))}, forced
+
+
+def _perturb_beta(monkeypatch, factor):
+    exact = seed.seed_eval_grid
+
+    def perturbed(p, xs):
+        u, up, beta, beta_p = exact(p, xs)
+        return u, up, beta * factor, beta_p
+
+    monkeypatch.setattr(seed, "seed_eval_grid", perturbed)
+
+
+def _assert_matches_nested_reference(params, xs):
+    h = verify._H_NESTED_INNER
+    rel, denoms, forced = verify._annihilation_rel(params, xs, h)
+    ref_rel, ref_denoms, ref_forced = _nested_annihilation_rel(params, xs, h)
+    np.testing.assert_array_equal(forced, ref_forced)
+    np.testing.assert_array_equal(np.isfinite(rel), np.isfinite(ref_rel))
+    for got, ref in zip(denoms["u"], ref_denoms["u"]):
+        np.testing.assert_array_equal(got, ref)
+    keep = np.isfinite(rel) & ~forced
+    assert np.max(np.abs(rel[keep] - ref_rel[keep])) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "params",
+    list(BENCHMARK_PARAMS) + [TransformParams(epsilon=1.0, lam=5.0, kappa=0.0)],
+    ids=PARAM_IDS + ["eps1_lam5_kap0_real_node"],
+)
+def test_lattice_annihilation_matches_nested_reference(params, default_grid):
+    _assert_matches_nested_reference(params, default_grid.points())
+
+
+@pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
+def test_lattice_annihilation_matches_reference_with_wrong_beta(
+    params, coarse_grid, monkeypatch
+):
+    # With exact beta, w1 = psi' + beta psi is rounding noise and the outer
+    # differences act on noise; a beta off by 1e-5 makes w1 ~ 1e-5 beta psi,
+    # so the outer lattice stencils carry signal and a wrong row would show.
+    # A 64-point chunk splits the grid into blocks and the lattice into
+    # chunks that cross row boundaries.
+    _perturb_beta(monkeypatch, 1.0 + 1e-5)
+    monkeypatch.setattr(verify, "_CHUNK", 64)
+    _assert_matches_nested_reference(params, coarse_grid.points())
+
+
+@pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
+def test_annihilation_fails_when_beta_is_wrong(params, default_grid, monkeypatch):
+    # A 1e-5 relative error in beta alone must make the check fail.
+    _perturb_beta(monkeypatch, 1.0 + 1e-5)
+    report = residual_report("annihilation", params, default_grid)
+    assert report.max_relative > THRESHOLDS["annihilation"]
 
 
 def test_threshold_lookup():
