@@ -1,15 +1,18 @@
 """Confluent hypergeometric function M = 1F1 and the Gamma function for
 complex parameters.
 
-``kummer_m`` is the Maclaurin sum alone (DLMF 13.2.2), for the arguments the
-seed uses: z = x**2 on the nonnegative real axis.  There the terms end up
-sharing phase once n passes |a|; for large negative Re a the first |Re a|
-terms alternate and cancel, which costs digits (about 7 at a = -20).  The
-term budget is derived from the inputs: the terms peak near n = |z| and fall
-below the tolerance about 8.6 sqrt|z| terms later, so max|z| +
-12 sqrt(max|z|) + max|a| + 60 terms leave a margin.  M grows like
-exp(z) z**(a-b) and overflows the double range near z = 709 (|x| = 26.6 in
-seed coordinates), earlier for large Re a; there NoConvergence is raised.
+``kummer_m`` is the Maclaurin sum alone (DLMF 13.2.2), for the arguments of
+the seed's two branches: z = x**2 on the nonnegative real axis.  The seed
+itself no longer sums it (``seed`` continues the ODE by Taylor series); it
+stays the library's 1F1, anchored to ``kummer_oracle`` by the tests.  On
+that axis the terms end up sharing phase once n passes |a|; for large
+negative Re a the first |Re a| terms alternate and cancel, which costs digits
+silently (about 7 at a = -20, the branch of eps = 81).  The term budget is
+derived from the inputs: the terms peak near n = |z| and fall below the
+tolerance about 8.6 sqrt|z| terms later, so max|z| + 12 sqrt(max|z|) +
+max|a| + 60 terms leave a margin.  M grows like exp(z) z**(a-b) and
+overflows the double range near z = 709 (x = 26.6), earlier for large Re a;
+there NoConvergence is raised.
 General complex z away from the real axis is out of scope."""
 
 from __future__ import annotations

@@ -2,12 +2,15 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from susypiv import cli
 from susypiv.cli import RunConfig, run
+
+from conftest import oracle_seed
 
 
 def _read_csv(path):
@@ -192,17 +195,55 @@ def test_wide_grid_large_epsilon_report_passes(wide_verify_lines, kind):
 
 
 def test_overflow_is_one_error_line(tmp_path):
-    # z = 27**2 = 729 lies past the double-range limit of 1F1 near z = 709.
+    # u grows like exp(x**2/2); for eps = -1+i its Taylor chain leaves the
+    # double range near |x| = 36.6, inside the +-40 grid.
     proc = subprocess.run(
         [sys.executable, "-m", "susypiv.cli", "potential", "--epsilon-re", "-1",
-         "--epsilon-im", "1", "--lambda", "1", "--kappa", "1", "--xmin", "-27",
-         "--xmax", "27", "--output", str(tmp_path / "pot.csv")],
+         "--epsilon-im", "1", "--lambda", "1", "--kappa", "1", "--xmin", "-40",
+         "--xmax", "40", "--output", str(tmp_path / "pot.csv")],
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "overflowed" in lines[0], proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_potential_past_the_1f1_overflow_limit_matches_oracle(tmp_path):
+    # z = 27**2 = 729 lies past the double-range limit of the 1F1 series near
+    # z = 709, which used to end this run with exit 2.
+    out = tmp_path / "pot.csv"
+    config = RunConfig(
+        command="potential", epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0,
+        xmin=-27.0, xmax=27.0, step=0.75, output_path=str(out),
+    )
+    assert run(config) == 0
+    _, rows = _read_csv(out)
+    values = np.array([[float(v) for v in row] for row in rows])
+    assert values.shape == (73, 5)
+    params = config.params()
+    for x, re, im in values[:, :3]:
+        # V~ = x^2 - 2 beta' = 2 beta^2 + 2 eps - x^2 with beta = u'/u.
+        u, up = oracle_seed(params, x)
+        want = 2.0 * (up / u) ** 2 + 2.0 * params.epsilon - x * x
+        assert abs(complex(re, im) - want) <= 1e-12 * abs(want), (x, complex(re, im), want)
+
+
+@pytest.mark.parametrize("lam", [-1.1283791670955123, -1.1283791670955126])
+def test_recessive_real_seed_verify_is_clean(lam):
+    # eps = -1 with the real-reduction lambda, real_case_lambda(-1, -1) (the
+    # first value; the second is 3 ulp away): u decays on +x.  The 1F1 seed
+    # leaked RuntimeWarnings here and failed 8 of 11 reports; at the second
+    # value it stopped with "1F1 input is not finite" (exit 2).
+    from susypiv import real_case_lambda
+
+    assert real_case_lambda(-1.0, -1.0) == -1.1283791670955123
+    config = RunConfig(command="verify", epsilon_re=-1.0, lam=lam, xmin=-8.0, xmax=8.0)
+    stream = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(config, stream)
+    assert code != 2, stream.getvalue()
 
 
 class TestValidation:

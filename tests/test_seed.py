@@ -17,9 +17,10 @@ from susypiv import (
     seed_eval_grid,
     seed_u,
 )
-from susypiv.verify import BENCHMARK_PARAMS
+from susypiv import seed, verify
+from susypiv.verify import BENCHMARK_PARAMS, THRESHOLDS
 
-from conftest import PARAM_IDS
+from conftest import PARAM_IDS, oracle_seed
 
 SET_1 = TransformParams(epsilon=-1.0 + 1.0j, lam=1.0, kappa=1.0)
 
@@ -58,6 +59,87 @@ def test_finite_just_below_overflow_limit():
     values = seed_eval_grid(SET_1, np.array([x]))
     assert all(bool(np.all(np.isfinite(v))) for v in values)
     assert abs(values[0][0] - want) <= 1e-9 * abs(want)
+
+
+# (eps, half-width of the grid).  Summing the 1F1 series of the seed instead
+# was off by 9e-8 at 81+0.5i (on +-20), 2e7 at 200+0.5i and 4e40 at 1000+i.
+ORACLE_SWEEP = [
+    (81 + 0.5j, 35.0),
+    (41 + 0.5j, 35.0),
+    (21 + 0.5j, 35.0),
+    (-40 + 1j, 35.0),
+    (-1 + 1j, 35.0),
+    (9 + 1e-4j, 35.0),
+    (200 + 0.5j, 10.0),
+    (1000 + 1j, 5.0),
+    (-1000 + 1j, 5.0),
+]
+
+
+@pytest.mark.parametrize("eps,half", ORACLE_SWEEP, ids=[f"{e}" for e, _ in ORACLE_SWEEP])
+def test_taylor_kernel_against_oracle(eps, half):
+    # The finite-difference checks cannot see wrong initial data (a Taylor
+    # patch satisfies the ODE locally), so the kernel is anchored here.  The
+    # 61 points fall between the Taylor centres as well as on them.
+    params = TransformParams(epsilon=eps, lam=1.0, kappa=1.0)
+    xs = np.linspace(-half, half, 61)
+    u, up = seed._u_and_derivative(params, xs)
+    want = np.array([oracle_seed(params, float(x)) for x in xs])
+    np.testing.assert_allclose(u, want[:, 0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(up, want[:, 1], rtol=1e-12, atol=0.0)
+
+
+def test_recessive_real_seed_against_oracle():
+    # eps = -1 with the real-reduction lambda: u decays on +x, so the growing
+    # solution carried along by rounding cancels it; for |x| <= 4 the loss
+    # stays below 1e-8 (about 6e-10; the former 1F1-series seed: 1.7e-8).
+    params = TransformParams(epsilon=-1.0, lam=real_case_lambda(-1.0, -1.0))
+    xs = np.linspace(-4.0, 4.0, 41)
+    want = np.array([oracle_seed(params, float(x))[0] for x in xs])
+    np.testing.assert_allclose(seed_u(params, xs), want, rtol=1e-8, atol=0.0)
+
+
+class TestDeterminism:
+    def test_extending_the_chain_changes_no_value(self, monkeypatch):
+        xs = np.linspace(-5.0, 5.0, 1001)
+        monkeypatch.setattr(seed, "_last_chain", None)
+        before = seed_eval_grid(SET_1, xs)
+        seed_u(SET_1, np.array([-26.0, 26.0]))
+        after = seed_eval_grid(SET_1, xs)
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
+        # A fresh chain built straight out to +-26 gives the same bits too.
+        monkeypatch.setattr(seed, "_last_chain", None)
+        seed_u(SET_1, np.array([-26.0, 26.0]))
+        for a, b in zip(before, seed_eval_grid(SET_1, xs)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_scalar_grid_and_chunked_paths_agree(self, monkeypatch):
+        xs = np.linspace(-5.0, 5.0, 1001)
+        u, up, _, _ = seed_eval_grid(SET_1, xs)
+        for i in (0, 137, 500, 1000):
+            ev = seed_eval(SET_1, xs[i])
+            assert ev.u == u[i] and ev.u_prime == up[i]
+        monkeypatch.setattr(verify, "_CHUNK", 64)
+        offsets = [0.0, 1e-3, -1e-3]
+        chunked = verify._on_offsets(lambda t: seed_eval_grid(SET_1, t)[0], xs, offsets)
+        for row, d in zip(chunked, offsets):
+            np.testing.assert_array_equal(row, seed_u(SET_1, xs + d))
+
+
+@pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
+def test_schrodinger_fails_when_the_recurrence_energy_is_wrong(monkeypatch, params, default_grid):
+    # Mutation check: a chain built with eps (1 + 1e-6) still satisfies its
+    # own ODE, but not the one the residual is measured against.
+    original = seed._series
+
+    def mutated(x0, c0, c1, eps):
+        return original(x0, c0, c1, eps * (1.0 + 1e-6))
+
+    monkeypatch.setattr(seed, "_series", mutated)
+    monkeypatch.setattr(seed, "_last_chain", None)
+    report = residual_report("schrodinger", params, default_grid)
+    assert report.max_relative > THRESHOLDS["schrodinger"]
 
 
 class TestSeedEval:
@@ -150,6 +232,13 @@ class TestLocateRealZeros:
         assert len(zeros) == 2
         for z, want in zip(zeros, (-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))):
             assert abs(z - want) <= default_grid.step
+
+
+def test_sign_change_brackets_at_large_magnitude():
+    # |u| reaches 1e290 before the chain leaves the double range; the bracket
+    # test must not overflow (tier-1 turns RuntimeWarnings into errors).
+    u = np.array([3e200, -2e200, 1e200, 1e200]) * (1.0 + 1.0j)
+    assert list(seed.sign_change_brackets(u)) == [0, 1]
 
 
 def test_params_validation():

@@ -135,9 +135,10 @@ class TestStencilEngine:
             np.testing.assert_array_equal(row, np.exp(1j * (xs + d)))
 
     def test_default_verify_call_count(self, monkeypatch):
-        # One seed call per stencil chunk, not per stencil point: a default
-        # single-set run (11 reports on 1001 points) takes 37 kummer_m calls;
-        # one call per stencil offset took 194.
+        # One seed evaluation per stencil chunk, not per stencil point: a
+        # default single-set run (11 reports on 1001 points) takes 37; one
+        # call per stencil offset took 194.  The seed evaluates its Taylor
+        # chain, so no kummer_m call is left at all.
         calls = []
         original = kummer.kummer_m
 
@@ -145,12 +146,39 @@ class TestStencilEngine:
             calls.append(1)
             return original(a, b, z)
 
+        evaluations = []
+        evaluate = seed._Chain.evaluate
+
+        def counting_evaluate(chain, xs, derivative):
+            evaluations.append(xs.size)
+            return evaluate(chain, xs, derivative)
+
         monkeypatch.setattr(kummer, "kummer_m", counting)
+        monkeypatch.setattr(seed._Chain, "evaluate", counting_evaluate)
+        monkeypatch.setattr(seed, "_last_chain", None)
         config = cli.RunConfig(
             command="verify", epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0
         )
         assert cli.run(config, io.StringIO()) == 0
         assert len(calls) <= 40
+        assert calls == []
+        assert 0 < len(evaluations) <= 40
+
+    def test_verify_all_builds_one_chain_per_set(self, monkeypatch):
+        # The seed caches the last parameter set's Taylor chain, and --all
+        # runs the sets one after another.
+        built = []
+
+        class CountingChain(seed._Chain):
+            def __init__(self, params):
+                built.append(params)
+                super().__init__(params)
+
+        monkeypatch.setattr(seed, "_Chain", CountingChain)
+        monkeypatch.setattr(seed, "_last_chain", None)
+        config = cli.RunConfig(command="verify", run_all=True)
+        assert cli.run(config, io.StringIO()) == 0
+        assert built == list(BENCHMARK_PARAMS)
 
 
 def _nested_fd1(fn, xs, h):
