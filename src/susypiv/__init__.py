@@ -23,7 +23,6 @@ from .kummer import (
     kummer_oracle,
 )
 from .oscillator import (
-    creation_apply_logderiv,
     eigenfunction,
     eigenfunction_derivative,
     energy,
@@ -32,11 +31,9 @@ from .painleve import (
     FAMILIES,
     ChainTriple,
     PivPointEval,
-    PivSolution,
     b_of_a,
     chain_functions,
     extremal_energy,
-    extremal_logderiv,
     extremal_state_grid,
     family_grid_eval,
     piv_parameters,
@@ -54,7 +51,6 @@ from .seed import (
     seed_u,
 )
 from .susy import (
-    PartnerSystem,
     new_state,
     normalize,
     partner_eigenfunction,

@@ -28,8 +28,6 @@ _HEADERS = {
     "extremal": ("x", "re", "im"),
 }
 
-_EIGEN_LEVELS = (0, 1, 2, 3)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -120,7 +118,7 @@ def _piv_rows(config: RunConfig):
     a, b = painleve.piv_parameters(config.params(), config.family)
     with np.errstate(all="ignore"):
         terms = painleve.piv_residual_terms(g, gp, gpp, xs, a, b)
-        resid = sum(terms[1:], start=terms[0])
+        resid = painleve.piv_residual_sum(terms)
     keep = _keep_finite(xs, g.real, g.imag, resid.real, resid.imag)
     return [
         (float(x), float(gv.real), float(gv.imag), float(rv.real), float(rv.imag))
@@ -156,16 +154,6 @@ def _params_label(params: TransformParams) -> str:
     return f"eps={eps.real:g}{eps.imag:+g}i lam={params.lam:g} kappa={params.kappa:g}"
 
 
-def _verify_plan():
-    """(kind, level) for each report: every kind in verify.KINDS, with eigen
-    once per level in _EIGEN_LEVELS."""
-    return [
-        (kind, n)
-        for kind in verify.KINDS
-        for n in (_EIGEN_LEVELS if kind == "eigen" else (None,))
-    ]
-
-
 def _run_verify(config: RunConfig, stream) -> int:
     param_sets = list(verify.BENCHMARK_PARAMS) if config.run_all else [config.params()]
     grid = config.grid()
@@ -174,13 +162,13 @@ def _run_verify(config: RunConfig, stream) -> int:
     saturated = 0
     for params in param_sets:
         label = _params_label(params)
-        for kind, n in _verify_plan():
+        for kind, n, kind_label in verify.report_plan():
             try:
                 report = verify.residual_report(kind, params, grid, n=n)
             except AllPointsExcluded:
                 saturated += 1
-                print(f"{label}  {kind:<14} SATURATED (all points singular)", file=stream)
-                entries.append({"params": label, "kind": kind, "saturated": True})
+                print(f"{label}  {kind_label:<14} SATURATED (all points singular)", file=stream)
+                entries.append({"params": label, "kind": kind_label, "saturated": True})
                 continue
             limit = verify.threshold_for(report.kind)
             ok = report.max_relative <= limit

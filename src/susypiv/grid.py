@@ -1,4 +1,5 @@
-"""Uniform evaluation grids."""
+"""Evaluation positions: uniform grids, the one-element view of a scalar
+position, and the singular-point rule that screens positions."""
 
 from __future__ import annotations
 
@@ -7,7 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SingularPoint
+
 MAX_POINTS = 10**7
+SINGULAR_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,3 +42,32 @@ class Grid:
 
     def points(self) -> np.ndarray:
         return self.xmin + self.step * np.arange(self.n_points)
+
+
+def singular(mag, scale):
+    """The singular-point rule, elementwise: a denominator of magnitude ``mag``
+    is at rounding level of its local ``scale``, mag <= 1e-10 * scale."""
+    return mag <= SINGULAR_REL * scale
+
+
+def screen(denominators, x) -> None:
+    """Raise SingularPoint when a ``name -> (mag, scale)`` denominator is singular."""
+    for name, (mag, scale) in denominators.items():
+        if bool(np.any(singular(mag, scale))):
+            raise SingularPoint(f"{name} vanishes at x={x}")
+
+
+def on_points(fn, x, dtype=float):
+    """``fn`` over the positions ``x``; ``fn`` maps an ndarray of positions to
+    (values, denominators as for ``screen``).
+
+    An ndarray gets its values unscreened.  A scalar is evaluated as a
+    one-element array, so it agrees bit for bit with the grid, is screened,
+    and comes back as a Python scalar.
+    """
+    xs = np.asarray(x, dtype=dtype)
+    values, denominators = fn(xs.reshape(xs.shape or (1,)))
+    if xs.ndim:
+        return values
+    screen(denominators, xs.item())
+    return values.item()

@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .errors import NoConvergence, PoleArgument, PoleParameter
+from .grid import on_points
 
 _TERM_TOLERANCE = 1e-16
 # Convergence is tested every _CHECK_EVERY terms.  Points are summed in blocks
@@ -114,22 +115,23 @@ def kummer_m(a, b, z):
     z = np.asarray(z, dtype=complex)
     if _nonpositive_integer(b):
         raise PoleParameter(f"1F1 parameter b={b} is a nonpositive integer")
-    shape = np.broadcast_shapes(a.shape, b.shape, z.shape)
-    scalar = not shape
-    if scalar:
-        shape = (1,)
-        z = z.reshape(shape)
-    z_max = float(np.max(np.abs(z), initial=0.0))
-    reach = z_max + 12.0 * math.sqrt(z_max) + float(np.max(np.abs(a)))
-    if not math.isfinite(reach):
-        raise NoConvergence("1F1 input is not finite")
-    out = np.empty(shape, dtype=complex)
-    for start in range(0, shape[-1], _BLOCK):
-        block = slice(start, start + _BLOCK)
-        out[..., block] = _maclaurin(
-            _columns(a, block), _columns(b, block), _columns(z, block), int(reach) + 60
-        )
-    return complex(out[0]) if scalar else out
+    z = np.broadcast_to(z, np.broadcast_shapes(a.shape, b.shape, z.shape))
+
+    def values(z):
+        # ``z`` has the broadcast shape; ``a`` and ``b`` broadcast against it.
+        z_max = float(np.max(np.abs(z), initial=0.0))
+        reach = z_max + 12.0 * math.sqrt(z_max) + float(np.max(np.abs(a)))
+        if not math.isfinite(reach):
+            raise NoConvergence("1F1 input is not finite")
+        out = np.empty(z.shape, dtype=complex)
+        for start in range(0, z.shape[-1], _BLOCK):
+            block = slice(start, start + _BLOCK)
+            out[..., block] = _maclaurin(
+                _columns(a, block), _columns(b, block), _columns(z, block), int(reach) + 60
+            )
+        return out, {}
+
+    return on_points(values, z, dtype=complex)
 
 
 def kummer_m_derivative(a, b, z, order: int = 1):

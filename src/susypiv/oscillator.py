@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 
-from .errors import DegreeTooLarge, SingularPoint
+from .errors import DegreeTooLarge
+from .grid import on_points
 
 MAX_DEGREE = 60
-_DELTA_SINGULAR = 1e-10
 
 
 def energy(n: int) -> float:
@@ -29,42 +29,28 @@ def eigenfunction(n: int, x):
         raise ValueError("n must be nonnegative")
     if n > MAX_DEGREE:
         raise DegreeTooLarge(f"n={n} beyond stable recurrence range {MAX_DEGREE}")
-    x_in = np.asarray(x, dtype=float)
-    scalar = x_in.ndim == 0
-    xs = np.atleast_1d(x_in)
-    prev = math.pi ** -0.25 * np.exp(-0.5 * xs * xs)
-    if n == 0:
-        out = prev
-    else:
+
+    def values(xs):
+        prev = math.pi ** -0.25 * np.exp(-0.5 * xs * xs)
+        if n == 0:
+            return prev, {}
         cur = math.sqrt(2.0) * xs * prev
         for k in range(1, n):
             prev, cur = cur, math.sqrt(2.0 / (k + 1)) * xs * cur - math.sqrt(k / (k + 1.0)) * prev
-        out = cur
-    return float(out[0]) if scalar else out
+        return cur, {}
+
+    return on_points(values, x)
 
 
 def eigenfunction_derivative(n: int, x):
     """d/dx psi_n via the ladder identity psi_n' = sqrt(2n) psi_{n-1} - x psi_n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x_in = np.asarray(x, dtype=float)
-    scalar = x_in.ndim == 0
-    xs = np.atleast_1d(x_in)
-    out = -xs * eigenfunction(n, xs)
-    if n > 0:
-        out = out + math.sqrt(2.0 * n) * eigenfunction(n - 1, xs)
-    return float(out[0]) if scalar else out
 
+    def values(xs):
+        out = -xs * eigenfunction(n, xs)
+        if n > 0:
+            out = out + math.sqrt(2.0 * n) * eigenfunction(n - 1, xs)
+        return out, {}
 
-def creation_apply_logderiv(x: float, logderiv, logderiv_prime) -> complex:
-    """Log-derivative of (-d/dx + x) applied to a function known only through
-    its own log-derivative and that log-derivative's x-derivative.
-
-    Pure algebra: logderiv + (1 - logderiv') / (x - logderiv).  The caller
-    supplies logderiv' in whatever closed form it has.
-    """
-    ell = complex(logderiv)
-    denom = x - ell
-    if abs(denom) < _DELTA_SINGULAR:
-        raise SingularPoint(f"creation operator annihilates to leading order at x={x}")
-    return ell + (1.0 - complex(logderiv_prime)) / denom
+    return on_points(values, x)

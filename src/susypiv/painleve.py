@@ -10,7 +10,9 @@ closed forms in terms of the seed log-derivative:
     family 3:  1/u                      energy eps
 
 so g, g', g'' never need numerical differentiation: h' = (V~ - E) - h^2 and
-h'' = V~' - 2 h h' close the chain.
+h'' = V~' - 2 h h' close the chain.  These formulas live in
+``family_grid_eval`` alone: ``piv_solution`` is its one-point view, screened
+by the singular-point rule of ``grid.screen``.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seed
-from .errors import BadFamily, SingularPoint
+from .errors import BadFamily
+from .grid import screen
 from .seed import TransformParams
 
 FAMILIES = (1, 2, 3)
-_DELTA_SINGULAR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,42 +91,16 @@ def b_of_a(family: int, a) -> complex:
     return -2.0 * (a - 1.0) ** 2
 
 
-def _logderiv_from_eval(ev: seed.SeedEvaluation, family: int, x: float) -> complex:
-    beta = ev.beta
-    beta_prime = ev.beta_prime
-    if family == 3:
-        return -beta
-    if family == 2:
-        denom = x + beta
-        if abs(denom) <= _DELTA_SINGULAR * (1.0 + abs(1.0 + beta_prime)):
-            raise SingularPoint(f"x + beta vanishes at x={x}")
-        return -x + (1.0 + beta_prime) / denom
-    beta_pp = 2.0 * x - 2.0 * beta * beta_prime
-    denom = beta_prime - 1.0
-    if abs(denom) <= _DELTA_SINGULAR * (1.0 + abs(beta_pp)):
-        raise SingularPoint(f"beta' - 1 vanishes at x={x}")
-    return beta + beta_pp / denom
-
-
-def extremal_logderiv(params: TransformParams, family: int, x) -> complex:
-    """(ln psi)' of the family's extremal state, in closed form."""
-    _check_family(family)
-    xf = float(x)
-    ev = seed.seed_eval(params, xf)
-    return _logderiv_from_eval(ev, family, xf)
-
-
 def piv_solution(params: TransformParams, family: int, x) -> PivPointEval:
     """g = -x - (ln psi)' with derivatives closed through the eigen relation.
 
-    Shares the vectorized evaluation path, so scalar values agree bit-for-bit
-    with grid sweeps; the scalar entry adds the SingularPoint screening.
+    One point of ``family_grid_eval``, so scalar values agree bit-for-bit
+    with grid sweeps; raises SingularPoint where one of its denominators is
+    singular.
     """
-    _check_family(family)
     xf = float(x)
-    ev = seed.seed_eval(params, xf)
-    _logderiv_from_eval(ev, family, xf)  # raises at the family's singular denominators
-    g, g_prime, g_pp, _ = family_grid_eval(params, family, np.asarray([xf]))
+    g, g_prime, g_pp, denominators = family_grid_eval(params, family, np.asarray([xf]))
+    screen(denominators, xf)
     return PivPointEval(
         g=complex(g[0]), g_prime=complex(g_prime[0]), g_double_prime=complex(g_pp[0]), x=xf
     )
@@ -145,13 +121,16 @@ def piv_residual_terms(g, g_prime, g_double_prime, x, a, b):
     )
 
 
+def piv_residual_sum(terms):
+    """The residual: the six terms summed from the first, in order.  (A 0j
+    start would turn a -0.0 residual part into 0.0.)"""
+    return sum(terms[1:], start=terms[0])
+
+
 def piv_residual(point: PivPointEval, a, b) -> complex:
     """Defect of g g'' = (g')^2/2 + 3 g^4/2 + 4 g^3 x + 2 g^2 (x^2 - a) + b."""
     terms = piv_residual_terms(point.g, point.g_prime, point.g_double_prime, point.x, a, b)
-    total = 0j
-    for t in terms:
-        total += t
-    return total
+    return piv_residual_sum(terms)
 
 
 def chain_functions(params: TransformParams, x) -> ChainTriple:
@@ -160,32 +139,12 @@ def chain_functions(params: TransformParams, x) -> ChainTriple:
     return ChainTriple(f1=-ev.beta, f2=complex(float(x)), f3=ev.beta)
 
 
-@dataclass(frozen=True)
-class PivSolution:
-    """One solution family bound to fixed transform parameters."""
-
-    family: int
-    params: TransformParams
-    a: complex
-    b: complex
-
-    @classmethod
-    def for_family(cls, params: TransformParams, family: int) -> "PivSolution":
-        a, b = piv_parameters(params, family)
-        return cls(family=family, params=params, a=a, b=b)
-
-    def eval(self, x) -> PivPointEval:
-        return piv_solution(self.params, self.family, x)
-
-    def residual(self, x) -> complex:
-        return piv_residual(self.eval(x), self.a, self.b)
-
-
 def family_grid_eval(params: TransformParams, family: int, xs):
     """Vectorized (g, g', g'', denominators) over an array of positions.
 
-    ``denominators`` maps quantity names to |.| arrays feeding the median
-    exclusion rule; singular entries come back non-finite instead of raising.
+    ``denominators`` maps quantity names to (magnitude, local scale) pairs
+    for the grid exclusion rule and ``grid.screen``; singular entries come
+    back non-finite instead of raising.
     """
     _check_family(family)
     xs = np.asarray(xs, dtype=float)
@@ -196,7 +155,7 @@ def family_grid_eval(params: TransformParams, family: int, xs):
         vt_prime = 2.0 * xs - 2.0 * beta_pp
         # Denominator magnitudes are paired with their local scales so grid
         # consumers can apply both the median rule and the absolute rule.
-        denominators = {"u": (np.abs(u), 1.0 + np.abs(up))}
+        denominators = seed.u_denominator(u, up)
         if family == 3:
             h = -beta
         elif family == 2:

@@ -41,10 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kummer
-from .errors import NoConvergence, SingularPoint
-from .grid import Grid
+from .errors import NoConvergence
+from .grid import Grid, on_points, screen
 
-_DELTA_SINGULAR = 1e-10
 _ZERO_SCAN_REL = 1e-6
 # Taylor continuation: largest centre spacing, series length of a centre,
 # share below which evaluation drops trailing terms, centres allowed on each
@@ -248,31 +247,30 @@ def seed_u(params: TransformParams, x):
 
     ``x`` may be a scalar or ndarray.
     """
-    x_in = np.asarray(x, dtype=float)
-    scalar = x_in.ndim == 0
-    u = _chain(params).evaluate(x_in.ravel(), derivative=False).reshape(x_in.shape)
-    return complex(u) if scalar else u
+
+    def values(xs):
+        return _chain(params).evaluate(xs.ravel(), derivative=False).reshape(xs.shape), {}
+
+    return on_points(values, x)
 
 
-def _u_and_derivative(params, xs):
-    """u and u' on an ndarray of positions (no singular screening)."""
-    u, up = _chain(params).evaluate(xs.ravel(), derivative=True)
-    return u.reshape(xs.shape), up.reshape(xs.shape)
+def u_denominator(u, up) -> dict:
+    """The denominator u of beta and 1/u, ``{"u": (|u|, 1 + |u'|)}``."""
+    return {"u": (np.abs(u), 1.0 + np.abs(up))}
 
 
 def seed_eval(params: TransformParams, x) -> SeedEvaluation:
     """Point evaluation with log-derivative fields.
 
-    Raises SingularPoint within rounding distance of a real node of u;
-    that can only happen for real factorization energies.  Routed through
-    the vectorized path so scalar and grid evaluations agree bit-for-bit.
+    Routed through the vectorized path, so scalar and grid evaluations agree
+    bit-for-bit.  Raises SingularPoint where u is singular (within rounding
+    distance of a real node; that can only happen for real factorization
+    energies).
     """
     xf = float(x)
     u, up, beta, beta_prime = seed_eval_grid(params, np.asarray([xf]))
-    u0 = complex(u[0])
-    up0 = complex(up[0])
-    if abs(u0) <= _DELTA_SINGULAR * (1.0 + abs(up0)):
-        raise SingularPoint(f"seed solution vanishes at x={xf}")
+    screen(u_denominator(u, up), xf)
+    u0, up0 = complex(u[0]), complex(up[0])
     return SeedEvaluation(
         u=u0, u_prime=up0, beta=complex(beta[0]), beta_prime=complex(beta_prime[0]), x=xf
     )
@@ -282,10 +280,10 @@ def seed_eval_grid(params: TransformParams, xs):
     """Vectorized (u, u', beta, beta') over an array of positions.
 
     No singular screening: division at an exact node produces non-finite
-    entries, which grid consumers mask via the median exclusion rule.
+    entries, which grid consumers exclude.
     """
     xs = np.asarray(xs, dtype=float)
-    u, up = _u_and_derivative(params, xs)
+    u, up = (v.reshape(xs.shape) for v in _chain(params).evaluate(xs.ravel(), derivative=True))
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = up / u
     beta_prime = xs * xs - params.epsilon - beta * beta

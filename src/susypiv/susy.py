@@ -5,54 +5,52 @@ norms.
 Sign convention: the creation-side intertwiner acts as -d/dx + beta, so the
 transformed level-n state is -psi_n' + beta psi_n (unnormalized; ``normalize``
 supplies the real positive constant on demand).
+
+Every entry evaluates its positions through the grid path: a scalar position
+is a one-element array, and raises SingularPoint where u is singular.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import oscillator, seed
 from .errors import NotNormalizable
-from .grid import Grid
+from .grid import Grid, on_points
 from .seed import TransformParams
 
 _TAIL_REL = 1e-6
 _OVERFLOW = 1e300
 
 
+def _on_seed(params: TransformParams, x, fn):
+    """``fn(xs, u, beta, beta')`` over the positions ``x`` through ``grid.on_points``,
+    division warnings off: a scalar raises SingularPoint where u is singular."""
+
+    def values(xs):
+        u, up, beta, beta_prime = seed.seed_eval_grid(params, xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return fn(xs, u, beta, beta_prime), seed.u_denominator(u, up)
+
+    return on_points(values, x)
+
+
 def partner_potential(params: TransformParams, x):
     """Partner potential x^2 - 2 beta'; scalar or ndarray positions."""
-    x_in = np.asarray(x, dtype=float)
-    if x_in.ndim == 0:
-        ev = seed.seed_eval(params, float(x_in))
-        return ev.x * ev.x - 2.0 * ev.beta_prime
-    _, _, _, beta_prime = seed.seed_eval_grid(params, x_in)
-    return x_in * x_in - 2.0 * beta_prime
+    return _on_seed(params, x, lambda xs, u, beta, beta_prime: xs * xs - 2.0 * beta_prime)
 
 
 def partner_eigenfunction(params: TransformParams, n: int, x):
     """Image of oscillator level n under the transformation: -psi_n' + beta psi_n."""
-    x_in = np.asarray(x, dtype=float)
-    if x_in.ndim == 0:
-        xf = float(x_in)
-        ev = seed.seed_eval(params, xf)
-        return -oscillator.eigenfunction_derivative(n, xf) + ev.beta * oscillator.eigenfunction(n, xf)
-    _, _, beta, _ = seed.seed_eval_grid(params, x_in)
-    return -oscillator.eigenfunction_derivative(n, x_in) + beta * oscillator.eigenfunction(n, x_in)
+    psi, d_psi = oscillator.eigenfunction, oscillator.eigenfunction_derivative
+    return _on_seed(params, x, lambda xs, u, beta, _: -d_psi(n, xs) + beta * psi(n, xs))
 
 
 def new_state(params: TransformParams, x):
     """The eigenstate at the factorization energy: 1/u."""
-    x_in = np.asarray(x, dtype=float)
-    if x_in.ndim == 0:
-        ev = seed.seed_eval(params, float(x_in))
-        return 1.0 / ev.u
-    u = seed.seed_u(params, x_in)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 / u
+    return _on_seed(params, x, lambda xs, u, beta, beta_prime: 1.0 / u)
 
 
 def spectrum(params: TransformParams, n_max: int):
@@ -90,23 +88,3 @@ def normalize(values, grid: Grid) -> float:
     if not math.isfinite(integral) or integral <= 0.0 or integral > _OVERFLOW:
         raise NotNormalizable(f"quadrature value {integral!r} out of range")
     return integral**-0.5
-
-
-@dataclass(frozen=True)
-class PartnerSystem:
-    """Partner potential and states evaluated over one grid."""
-
-    params: TransformParams
-    grid: Grid
-
-    def potential_values(self):
-        return partner_potential(self.params, self.grid.points())
-
-    def eigenfunction_values(self, n: int):
-        return partner_eigenfunction(self.params, n, self.grid.points())
-
-    def new_state_values(self):
-        return new_state(self.params, self.grid.points())
-
-    def spectrum(self, n_max: int):
-        return spectrum(self.params, n_max)

@@ -3,10 +3,15 @@ every closed-form construction.
 
 Step sizes are set by the double-precision noise floor, not by truncation
 alone: a second difference amplifies per-evaluation rounding by 1/h^2, so
-order-2 stencils default to h = 1e-3 while order-1 stencils keep h = 1e-4;
-the triple-nested annihilation stencil pays 1/h^3 and uses h = 5e-3.  Near a
-zero of u the truncation term grows like (h/d)^4 with d the distance to the
-zero, so beta-dependent stencils cap h at 0.02/(1+|beta|) pointwise.
+order-2 stencils default to h = 1e-3 while order-1 stencils keep h = 1e-4.
+The triple-nested annihilation stencil pays 1/(h_inner h_outer^2): its inner
+difference defaults to h = 5e-4 (capped at 2e-3/(1+|beta|)) and its two outer
+ones take the fixed step 5e-3.  Near a zero of u the truncation term grows
+like (h/d)^4 with d the distance to the zero, so beta-dependent stencils cap
+h at 0.02/(1+|beta|) pointwise.
+
+Each residual kind is one row of ``KINDS``, which ``residual_report``,
+``threshold_for`` and ``report_plan`` all read.
 
 Every stencil goes through one engine, ``_on_offsets``: it stacks the grid
 shifted by each stencil offset, flattens the stack and evaluates the
@@ -22,18 +27,18 @@ stay bounded too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import oscillator, painleve, seed
+from . import painleve, seed, susy
 from .errors import AllPointsExcluded, EvaluationFailed, SusypivError
-from .grid import Grid
+from .grid import Grid, singular
 from .seed import TransformParams
 
 EXCLUDE_REL = 1e-6
-_DELTA_ABS = 1e-10
 
 _H_ORDER1 = 1e-4
 _H_ORDER2 = 1e-3
@@ -46,36 +51,6 @@ _CHUNK = 4096
 # Offsets, in units of h, of the Richardson stencils below.
 _D1_OFFSETS = (1.0, -1.0, 0.5, -0.5)
 _D2_OFFSETS = (0.0,) + _D1_OFFSETS
-
-KINDS = (
-    "schrodinger",
-    "riccati",
-    "piv_family_1",
-    "piv_family_2",
-    "piv_family_3",
-    "eigen",
-    "new_state",
-    "annihilation",
-)
-
-_DEFAULT_H = {
-    "schrodinger": _H_ORDER2,
-    "riccati": _H_ORDER1,
-    "eigen": _H_ORDER2,
-    "new_state": _H_ORDER2,
-    "annihilation": _H_NESTED_INNER,
-}
-
-THRESHOLDS = {
-    "schrodinger": 1e-7,
-    "riccati": 1e-7,
-    "piv_family_1": 1e-8,
-    "piv_family_2": 1e-8,
-    "piv_family_3": 1e-8,
-    "eigen": 1e-6,
-    "new_state": 1e-6,
-    "annihilation": 1e-5,
-}
 
 # The five showcase parameter sets exercised by the verification suites.
 BENCHMARK_PARAMS = (
@@ -96,10 +71,6 @@ class ResidualReport:
     mean_relative: float
     excluded_points: tuple
     grid: Grid
-
-
-def threshold_for(kind_label: str) -> float:
-    return THRESHOLDS[kind_label.split("(")[0]]
 
 
 def _step(h, default):
@@ -161,83 +132,71 @@ def _on_offsets(fn, xs, offsets):
     return out.reshape(points.shape)
 
 
-def _fd1(fn, xs, h):
-    return _d1(_on_offsets(fn, xs, [c * h for c in _D1_OFFSETS]), h)
-
-
 def _fd2(fn, xs, h):
-    return _d2(_on_offsets(fn, xs, [c * h for c in _D2_OFFSETS]), h)
+    """``fn`` at ``xs`` and its second difference, from one engine call."""
+    v = _on_offsets(fn, xs, [c * h for c in _D2_OFFSETS])
+    return v[0], _d2(v, h)
 
 
 def _capped(h, beta):
     return np.minimum(h, _POLE_CAP / (1.0 + np.abs(beta)))
 
 
-def _schrodinger_rel(params, xs, h):
+def _schrodinger_rel(params, xs, h, n):
     u, up, _, _ = seed.seed_eval_grid(params, xs)
-    upp = _fd2(lambda t: seed.seed_u(params, t), xs, h)
+    _, upp = _fd2(lambda t: seed.seed_u(params, t), xs, h)
     eps = params.epsilon
     resid = -upp + xs * xs * u - eps * u
     scale = 1.0 + np.abs(upp) + np.abs(xs * xs * u) + np.abs(eps * u)
-    return np.abs(resid) / scale, {"u": (np.abs(u), 1.0 + np.abs(up))}
+    return np.abs(resid) / scale, seed.u_denominator(u, up)
 
 
-def _riccati_rel(params, xs, h):
+def _riccati_rel(params, xs, h, n):
     u, up, beta, _ = seed.seed_eval_grid(params, xs)
     beta_fn = lambda t: seed.seed_eval_grid(params, t)[2]
-    beta_p = _fd1(beta_fn, xs, _capped(h, beta))
+    step = _capped(h, beta)
+    beta_p = _d1(_on_offsets(beta_fn, xs, [c * step for c in _D1_OFFSETS]), step)
     eps = params.epsilon
     resid = beta_p + beta * beta - xs * xs + eps
     scale = 1.0 + np.abs(beta_p) + np.abs(beta) ** 2 + xs * xs + abs(eps)
-    return np.abs(resid) / scale, {"u": (np.abs(u), 1.0 + np.abs(up))}
+    return np.abs(resid) / scale, seed.u_denominator(u, up)
 
 
-def _piv_rel(params, family, xs):
+def _piv_rel(family, params, xs, h, n):
     g, gp, gpp, denoms = painleve.family_grid_eval(params, family, xs)
     a, b = painleve.piv_parameters(params, family)
     with np.errstate(all="ignore"):
         terms = painleve.piv_residual_terms(g, gp, gpp, xs, a, b)
-        resid = sum(terms[1:], start=terms[0])
+        resid = painleve.piv_residual_sum(terms)
         scale = 1.0
         for t in terms:
             scale = scale + np.abs(t)
         return np.abs(resid) / scale, denoms
 
 
-def _eigen_rel(params, n, xs, h):
+def _state_rel(params, xs, h, state, energy):
+    """|-f'' + V~ f - E f| over the sum of its terms' sizes, for the partner
+    state f = ``state(t)`` at energy E."""
     u, up, beta, beta_p = seed.seed_eval_grid(params, xs)
-
-    def psi_t(t):
-        b_t = seed.seed_eval_grid(params, t)[2]
-        return -oscillator.eigenfunction_derivative(n, t) + b_t * oscillator.eigenfunction(n, t)
-
-    f = -oscillator.eigenfunction_derivative(n, xs) + beta * oscillator.eigenfunction(n, xs)
-    fpp = _fd2(psi_t, xs, _capped(h, beta))
+    f, fpp = _fd2(state, xs, _capped(h, beta))
     vt = xs * xs - 2.0 * beta_p
-    level = float(2 * n + 1)
-    resid = -fpp + vt * f - level * f
-    scale = 1.0 + np.abs(fpp) + np.abs(vt * f) + level * np.abs(f)
-    return np.abs(resid) / scale, {"u": (np.abs(u), 1.0 + np.abs(up))}
+    resid = -fpp + vt * f - energy * f
+    scale = 1.0 + np.abs(fpp) + np.abs(vt * f) + abs(energy) * np.abs(f)
+    return np.abs(resid) / scale, seed.u_denominator(u, up)
 
 
-def _new_state_rel(params, xs, h):
-    u, up, beta, beta_p = seed.seed_eval_grid(params, xs)
-
-    def psi_t(t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / seed.seed_u(params, t)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = 1.0 / u
-    fpp = _fd2(psi_t, xs, _capped(h, beta))
-    vt = xs * xs - 2.0 * beta_p
-    eps = params.epsilon
-    resid = -fpp + vt * f - eps * f
-    scale = 1.0 + np.abs(fpp) + np.abs(vt * f) + abs(eps) * np.abs(f)
-    return np.abs(resid) / scale, {"u": (np.abs(u), 1.0 + np.abs(up))}
+def _eigen_rel(params, xs, h, n):
+    if n is None or not 0 <= n <= 10:
+        raise ValueError("eigen residual requires 0 <= n <= 10")
+    state = lambda t: susy.partner_eigenfunction(params, n, t)
+    return _state_rel(params, xs, h, state, float(2 * n + 1))
 
 
-def _annihilation_rel(params, xs, h):
+def _new_state_rel(params, xs, h, n):
+    return _state_rel(params, xs, h, lambda t: susy.new_state(params, t), params.epsilon)
+
+
+def _annihilation_rel(params, xs, h, n):
     # Third-order lowering operator (-d+beta)(d+x)(d+beta) applied to 1/u by
     # nested differencing; the exact result is zero.  The innermost difference
     # is the only one whose truncation sees the full pole cascade of 1/u, so
@@ -252,9 +211,9 @@ def _annihilation_rel(params, xs, h):
     rel = np.concatenate([_lowered_rel(params, xs[b], b0[b], h_inner[b]) for b in blocks])
     # The wide outer stencils are not beta-capped, so near a *real* node of u
     # they can straddle the pole of 1/u; those points are singular for this
-    # check and get excluded geometrically.
-    forced = _node_straddle_mask(u, xs, 2.0 * _H_NESTED_OUTER + float(np.max(h_inner)))
-    return rel, {"u": (np.abs(u), 1.0 + np.abs(up))}, forced
+    # check: they are marked non-finite, which excludes them.
+    rel[_node_straddle_mask(u, xs, 2.0 * _H_NESTED_OUTER + float(np.max(h_inner)))] = np.nan
+    return rel, seed.u_denominator(u, up)
 
 
 def _lowered_rel(params, xs, b0, h_inner):
@@ -269,9 +228,7 @@ def _lowered_rel(params, xs, b0, h_inner):
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / seed.seed_u(params, t)
 
-    def beta_at(t):
-        return seed.seed_eval_grid(params, t)[2]
-
+    beta_at = lambda t: seed.seed_eval_grid(params, t)[2]
     h_outer = _H_NESTED_OUTER
     shifts = [k * 0.5 * h_outer for k in range(-4, 5)]
     lattice = np.stack([xs + s for s in shifts])
@@ -309,6 +266,46 @@ def _node_straddle_mask(u, xs, reach):
     return mask
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """``residual(params, xs, h, n)`` gives (relative residuals, non-finite
+    where a point is singular for the check; exclusion denominators).  ``h``
+    is the default step (None: no stencil), ``levels`` the n of a verify run."""
+
+    residual: object
+    h: float | None
+    threshold: float
+    levels: tuple = ()
+
+
+KINDS = {
+    "schrodinger": _Kind(_schrodinger_rel, _H_ORDER2, 1e-7),
+    "riccati": _Kind(_riccati_rel, _H_ORDER1, 1e-7),
+    **{
+        f"piv_family_{family}": _Kind(functools.partial(_piv_rel, family), None, 1e-8)
+        for family in painleve.FAMILIES
+    },
+    "eigen": _Kind(_eigen_rel, _H_ORDER2, 1e-6, levels=(0, 1, 2, 3)),
+    "new_state": _Kind(_new_state_rel, _H_ORDER2, 1e-6),
+    "annihilation": _Kind(_annihilation_rel, _H_NESTED_INNER, 1e-5),
+}
+
+THRESHOLDS = {kind: row.threshold for kind, row in KINDS.items()}
+
+
+def _label(kind, n):
+    return kind if n is None else f"{kind}({n})"
+
+
+def report_plan():
+    """(kind, n, label) of each report of a verify run, in report order."""
+    return [(k, n, _label(k, n)) for k, row in KINDS.items() for n in row.levels or (None,)]
+
+
+def threshold_for(kind_label: str) -> float:
+    return KINDS[kind_label.split("(")[0]].threshold
+
+
 def residual_report(
     kind: str,
     params: TransformParams,
@@ -319,34 +316,23 @@ def residual_report(
     """Relative residual statistics for one construction over a grid.
 
     Points where a construction denominator falls below 1e-6 of its grid
-    median are excluded and reported, not failed.  Raises ValueError when
-    ``h`` is given and is not positive and finite.
+    median, or is singular by ``grid.singular``, are excluded and reported,
+    not failed.  Raises ValueError for an unknown kind, for an ``h`` on a
+    kind without a stencil or not positive and finite, and for an ``n`` on
+    any kind but eigen, which requires 0 <= n <= 10.
     """
-    xs = grid.points()
-    label = kind
-    forced = None
-    h = _step(h, _DEFAULT_H.get(kind))
-    if kind == "schrodinger":
-        rel, denoms = _schrodinger_rel(params, xs, h)
-    elif kind == "riccati":
-        rel, denoms = _riccati_rel(params, xs, h)
-    elif kind in ("piv_family_1", "piv_family_2", "piv_family_3"):
-        rel, denoms = _piv_rel(params, int(kind[-1]), xs)
-    elif kind == "eigen":
-        if n is None or not 0 <= n <= 10:
-            raise ValueError("eigen residual requires 0 <= n <= 10")
-        rel, denoms = _eigen_rel(params, n, xs, h)
-        label = f"eigen({n})"
-    elif kind == "new_state":
-        rel, denoms = _new_state_rel(params, xs, h)
-    elif kind == "annihilation":
-        rel, denoms, forced = _annihilation_rel(params, xs, h)
-    else:
+    row = KINDS.get(kind)
+    if row is None:
         raise ValueError(f"unknown residual kind {kind!r}")
+    if h is not None and row.h is None:
+        raise ValueError(f"{kind} has no stencil, so it takes no step h")
+    if n is not None and not row.levels:
+        raise ValueError(f"{kind} takes no level n")
+    xs = grid.points()
+    label = _label(kind, n)
+    rel, denoms = row.residual(params, xs, _step(h, row.h), n)
 
-    excluded = np.zeros(xs.shape, dtype=bool)
-    if forced is not None:
-        excluded |= forced
+    excluded = ~np.isfinite(rel)
     for mag, local_scale in denoms.values():
         finite = np.isfinite(mag) & np.isfinite(local_scale)
         med = float(np.median(mag[finite])) if bool(finite.any()) else 0.0
@@ -355,8 +341,7 @@ def residual_report(
         else:
             # Median rule for isolated dips, absolute rule for denominators
             # that are rounding noise over the whole grid (degenerate seeds).
-            excluded |= (mag < EXCLUDE_REL * med) | (mag <= _DELTA_ABS * local_scale) | ~finite
-    excluded |= ~np.isfinite(rel)
+            excluded |= (mag < EXCLUDE_REL * med) | singular(mag, local_scale) | ~finite
     if bool(excluded.all()):
         raise AllPointsExcluded(f"{label}: every grid point is singular")
     body = rel[~excluded]

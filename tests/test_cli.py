@@ -1,13 +1,15 @@
+import importlib
 import io
 import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from susypiv import cli
+from susypiv import AllPointsExcluded, cli
 from susypiv.cli import RunConfig, run
 
 from conftest import oracle_seed
@@ -164,6 +166,30 @@ class TestVerifyCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+def test_saturated_eigen_reports_keep_their_level(monkeypatch, tmp_path):
+    # The SATURATED line and JSON entry of each eigen level used to read
+    # plain "eigen" four times.
+    original = cli.verify.residual_report
+
+    def saturate_eigen(kind, params, grid, n=None, h=None):
+        if kind == "eigen":
+            raise AllPointsExcluded(f"eigen({n}): every grid point is singular")
+        return original(kind, params, grid, n=n, h=h)
+
+    monkeypatch.setattr(cli.verify, "residual_report", saturate_eigen)
+    out = tmp_path / "report.json"
+    config = RunConfig(
+        command="verify", epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0,
+        step=0.05, output_path=str(out),
+    )
+    stream = io.StringIO()
+    assert run(config, stream) == 3
+    saturated = [line.split()[3] for line in stream.getvalue().splitlines() if "SATURATED" in line]
+    assert saturated == ["eigen(0)", "eigen(1)", "eigen(2)", "eigen(3)"]
+    entries = json.loads(out.read_text())["reports"]
+    assert [e["kind"] for e in entries if e.get("saturated")] == saturated
+
+
 WIDE_VERIFY_ARGV = [
     "verify", "--epsilon-re", "21", "--epsilon-im", "0.5", "--lambda", "1", "--kappa", "1",
     "--xmin", "-7", "--xmax", "7",
@@ -244,6 +270,24 @@ def test_recessive_real_seed_verify_is_clean(lam):
         warnings.simplefilter("error", RuntimeWarning)
         code = run(config, stream)
     assert code != 2, stream.getvalue()
+
+
+def test_benchmark_tracer_hooks_install(monkeypatch, tmp_path):
+    # bench/spans.py wraps library functions by module attribute, and some of
+    # them have no caller in src/, so a cleanup could break only the
+    # benchmark.  Import it as bench/selftest.py does.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert cli.run(RunConfig(command="verify"), io.StringIO()) == 0
+        piv = RunConfig(command="piv", family=1, output_path=str(tmp_path / "g.csv"))
+        assert cli.run(piv, io.StringIO()) == 0
+    assert cli.run.__module__ == "susypiv.cli"  # wrappers removed
+    names = {span.name for span in tracer.spans}
+    assert {
+        "seed.seed_eval_grid", "painleve.family_grid_eval", "verify.residual_report", "cli.run"
+    } <= names
 
 
 class TestValidation:

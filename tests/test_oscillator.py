@@ -7,11 +7,11 @@ from susypiv import (
     DegreeTooLarge,
     SingularPoint,
     TransformParams,
-    creation_apply_logderiv,
     eigenfunction,
     eigenfunction_derivative,
     energy,
     fd_derivative,
+    piv_solution,
     seed_eval,
 )
 
@@ -85,20 +85,27 @@ def test_degree_cap():
         eigenfunction(61, 1.0)
 
 
+def _creation_logderiv(x, ell, ell_prime):
+    """Log-derivative of the creation image (-d/dx + x) phi, from phi's
+    log-derivative ell and its derivative ell'."""
+    return ell + (1.0 - ell_prime) / (x - ell)
+
+
 class TestCreationLogderiv:
     def test_gaussian_at_one(self):
-        # phi = e^{-x^2/2}: logderiv -x, its derivative -1; a+ phi = 2x phi.
-        assert creation_apply_logderiv(1.0, -1.0, -1.0) == 0.0 + 0.0j
+        # phi = e^{-x^2/2}: a+ phi = 2x phi is proportional to psi_1, whose
+        # log-derivative 1/x - x vanishes at 1.
+        assert eigenfunction_derivative(1, 1.0) / eigenfunction(1, 1.0) == 0.0
 
     def test_gaussian_at_two(self):
-        assert creation_apply_logderiv(2.0, -2.0, -1.0) == -1.5 + 0.0j
+        assert eigenfunction_derivative(1, 2.0) / eigenfunction(1, 2.0) == -1.5
 
     def test_seed_logderiv_value(self):
         # Derived with the finite-difference oracle below: beta(0) = 1+i,
         # beta'(0) = 1-3i gives (1+i) + 3i/(-1-i) = -0.5-0.5i.
         params = TransformParams(epsilon=-1.0 + 1.0j, lam=1.0, kappa=1.0)
         ev = seed_eval(params, 0.0)
-        got = creation_apply_logderiv(0.0, ev.beta, ev.beta_prime)
+        got = _creation_logderiv(0.0, ev.beta, ev.beta_prime)
         assert abs(got - (-0.5 - 0.5j)) <= 1e-14
 
     def test_seed_logderiv_against_fd_oracle(self):
@@ -110,9 +117,12 @@ class TestCreationLogderiv:
 
         ref = fd_derivative(raised, 0.0, 1) / raised(0.0)
         ev = seed_eval(params, 0.0)
-        got = creation_apply_logderiv(0.0, ev.beta, ev.beta_prime)
+        got = _creation_logderiv(0.0, ev.beta, ev.beta_prime)
         assert abs(got - ref) <= 1e-9
 
     def test_singular_when_logderiv_matches_x(self):
+        # eps = 1, lam = kappa = 0: u = e^{-x^2/2}, so the log-derivative -beta
+        # of 1/u matches x, and family 2's extremal state (x + beta) e^{-x^2/2}
+        # vanishes to rounding level: its denominator x + beta is singular.
         with pytest.raises(SingularPoint):
-            creation_apply_logderiv(1.0, 1.0 + 0.0j, 0.5)
+            piv_solution(TransformParams(epsilon=1.0), 2, 1.0)

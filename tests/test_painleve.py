@@ -5,13 +5,11 @@ import pytest
 
 from susypiv import (
     BadFamily,
-    PivSolution,
     SingularPoint,
     TransformParams,
     b_of_a,
     chain_functions,
     extremal_energy,
-    extremal_logderiv,
     extremal_state_grid,
     family_grid_eval,
     fd_derivative,
@@ -41,20 +39,26 @@ class TestExtremalEnergy:
             extremal_energy(SET_1, 4)
 
 
+def _logderiv(params, family, x):
+    """(ln psi)' of the family's extremal state: -x - g."""
+    return -x - piv_solution(params, family, x).g
+
+
 class TestExtremalLogderiv:
     def test_family_three_is_negated_beta(self):
-        assert extremal_logderiv(SET_1, 3, 0.0) == -(1.0 + 1.0j)
+        assert _logderiv(SET_1, 3, 0.0) == -(1.0 + 1.0j)
+        # (ln psi_3)' = -beta exactly, so g = -x - (-beta) = beta - x.
         for x in (-1.7, 0.9):
-            assert extremal_logderiv(SET_1, 3, x) == -seed_eval(SET_1, x).beta
+            assert piv_solution(SET_1, 3, x).g == seed_eval(SET_1, x).beta - x
 
     def test_family_two_at_origin(self):
         # (1 + beta')/(x + beta) - x at 0 with beta = 1+i, beta' = 1-3i.
-        got = extremal_logderiv(SET_1, 2, 0.0)
+        got = _logderiv(SET_1, 2, 0.0)
         assert abs(got - (-0.5 - 2.5j)) <= 1e-14
 
     def test_family_one_at_origin(self):
         # beta + beta''/(beta'-1) with beta''(0) = -8+4i.
-        got = extremal_logderiv(SET_1, 1, 0.0)
+        got = _logderiv(SET_1, 1, 0.0)
         assert abs(got - (-1.0 - 5.0j) / 3.0) <= 1e-14
 
     @pytest.mark.parametrize("family", (1, 2, 3))
@@ -70,13 +74,13 @@ class TestExtremalLogderiv:
 
         for x in (-1.2, 0.0, 0.8, 2.1):
             ref = fd_derivative(state, x, 1) / state(x)
-            got = extremal_logderiv(SET_1, family, x)
+            got = _logderiv(SET_1, family, x)
             assert abs(got - ref) <= 1e-6 * (1.0 + abs(got)), (family, x)
 
     def test_family_one_degenerate_seed_is_singular(self):
         # eps = -1, lam = kappa = 0 gives beta' = 1 identically.
         with pytest.raises(SingularPoint):
-            extremal_logderiv(TransformParams(epsilon=-1.0), 1, 0.7)
+            piv_solution(TransformParams(epsilon=-1.0), 1, 0.7)
 
 
 class TestPivSolution:
@@ -180,10 +184,11 @@ class TestChainFunctions:
             assert chain.f3 - x == piv_solution(SET_1, 3, x).g
 
 
-def test_piv_solution_wrapper():
-    sol = PivSolution.for_family(SET_1, 2)
-    assert (sol.a, sol.b) == piv_parameters(SET_1, 2)
-    assert abs(sol.residual(0.4)) / (1.0 + abs(sol.eval(0.4).g) ** 4) <= 1e-10
+def test_pointwise_residual_family_two_on_set_1():
+    a, b = piv_parameters(SET_1, 2)
+    assert (a, b) == (SET_1.epsilon - 1.0, -2.0)
+    point = piv_solution(SET_1, 2, 0.4)
+    assert abs(piv_residual(point, a, b)) / (1.0 + abs(point.g) ** 4) <= 1e-10
 
 
 def test_family_grid_eval_matches_scalar(default_grid):

@@ -8,9 +8,17 @@ from susypiv import (
     PoleArgument,
     SingularPoint,
     TransformParams,
+    chain_functions,
+    eigenfunction,
+    eigenfunction_derivative,
     fd_derivative,
+    kummer_m,
     kummer_oracle,
     locate_real_zeros,
+    new_state,
+    partner_eigenfunction,
+    partner_potential,
+    piv_solution,
     real_case_lambda,
     residual_report,
     seed_eval,
@@ -83,7 +91,7 @@ def test_taylor_kernel_against_oracle(eps, half):
     # 61 points fall between the Taylor centres as well as on them.
     params = TransformParams(epsilon=eps, lam=1.0, kappa=1.0)
     xs = np.linspace(-half, half, 61)
-    u, up = seed._u_and_derivative(params, xs)
+    u, up, _, _ = seed_eval_grid(params, xs)
     want = np.array([oracle_seed(params, float(x)) for x in xs])
     np.testing.assert_allclose(u, want[:, 0], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(up, want[:, 1], rtol=1e-12, atol=0.0)
@@ -125,6 +133,33 @@ class TestDeterminism:
         chunked = verify._on_offsets(lambda t: seed_eval_grid(SET_1, t)[0], xs, offsets)
         for row, d in zip(chunked, offsets):
             np.testing.assert_array_equal(row, seed_u(SET_1, xs + d))
+
+
+# The array-path entries as (params, x) -> values; each takes a scalar or an
+# ndarray of positions.
+ARRAY_PATH = {
+    "seed_u": seed_u,
+    "partner_potential": partner_potential,
+    "partner_eigenfunction": lambda p, x: partner_eigenfunction(p, 3, x),
+    "new_state": new_state,
+    "eigenfunction": lambda p, x: eigenfunction(4, x),
+    "eigenfunction_derivative": lambda p, x: eigenfunction_derivative(4, x),
+    "kummer_m": lambda p, x: kummer_m((1.0 - p.epsilon) / 4.0, 0.5, x * x),
+}
+
+
+@pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
+@pytest.mark.parametrize("entry", ARRAY_PATH)
+def test_scalar_is_one_grid_element(entry, params):
+    # A scalar is evaluated as a one-element array: the same bits as the
+    # matching grid element, returned as a Python scalar.
+    fn = ARRAY_PATH[entry]
+    xs = np.array([-4.3, -1.7, 0.0, 0.7, 2.2, 4.9])
+    grid = fn(params, xs)
+    for i, x in enumerate(xs):
+        got = fn(params, float(x))
+        assert type(got) in (float, complex), (entry, type(got))
+        assert np.asarray(got).tobytes() == np.asarray(grid[i]).tobytes(), (entry, x, got, grid[i])
 
 
 @pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
@@ -175,9 +210,22 @@ class TestSeedEval:
 
     def test_singular_at_real_node(self):
         # eps = 5, lam = kappa = 0: u = e^{-x^2/2}(1 - 2x^2), node at 1/sqrt(2).
+        # Every screening scalar entry raises there; arrays are not screened.
         params = TransformParams(epsilon=5.0)
-        with pytest.raises(SingularPoint):
-            seed_eval(params, 1.0 / math.sqrt(2.0))
+        node = 1.0 / math.sqrt(2.0)
+        screening = [
+            seed_eval,
+            chain_functions,
+            partner_potential,
+            new_state,
+            lambda p, x: partner_eigenfunction(p, 1, x),
+            *(lambda p, x, f=f: piv_solution(p, f, x) for f in (1, 2, 3)),
+        ]
+        for entry in screening:
+            with pytest.raises(SingularPoint):
+                entry(params, node)
+        for entry in (partner_potential, new_state):
+            assert entry(params, np.array([node])).shape == (1,)
 
 
 def test_schrodinger_residual_invariant(default_grid):

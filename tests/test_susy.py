@@ -6,7 +6,6 @@ import pytest
 from susypiv import (
     Grid,
     NotNormalizable,
-    PartnerSystem,
     TransformParams,
     new_state,
     normalize,
@@ -138,11 +137,12 @@ def test_real_case_reduction(default_grid):
     assert np.max(np.abs(vt.imag)) <= 1e-10
 
 
-def test_partner_system_wrapper(default_grid):
-    system = PartnerSystem(params=SET_1, grid=default_grid)
-    assert system.spectrum(1) == spectrum(SET_1, 1)
-    pot = system.potential_values()
+def test_partner_system_over_one_grid(default_grid):
+    # The partner system's grid samples, from the array entries directly.
+    xs = default_grid.points()
+    assert spectrum(SET_1, 1) == [SET_1.epsilon, 1.0, 3.0]
+    pot = partner_potential(SET_1, xs)
     assert pot.shape == (default_grid.n_points,)
     assert np.all(np.isfinite(pot.real))
-    assert system.eigenfunction_values(2).shape == pot.shape
-    assert system.new_state_values()[0] != 0.0
+    assert partner_eigenfunction(SET_1, 2, xs).shape == pot.shape
+    assert new_state(SET_1, xs)[0] != 0.0

@@ -109,12 +109,27 @@ class TestResidualReport:
         report = residual_report("eigen", SET_1, coarse_grid, n=2)
         assert report.kind == "eigen(2)"
 
-    @pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
-    @pytest.mark.parametrize("kind", ["schrodinger", "annihilation"])
-    def test_rejects_bad_step(self, coarse_grid, kind, h):
+    @pytest.mark.parametrize(
+        "kind, h, n, match",
+        [
+            pytest.param(kind, h, None, "h must be positive", id=f"{kind}-{h}")
+            for kind in ("annihilation", "schrodinger")
+            for h in (-1e-3, 0.0, float("inf"), float("nan"))
+        ]
+        + [
+            # A kind without a stencil, or a level on a kind without levels,
+            # used to be accepted and ignored.
+            pytest.param("piv_family_1", 123.0, None, "no step h", id="piv_family_1-123.0"),
+            pytest.param("riccati", None, 2, "no level n", id="riccati-n2"),
+            pytest.param("piv_family_3", None, 0, "no level n", id="piv_family_3-n0"),
+            # The kind is checked before its arguments.
+            pytest.param("bogus", -1.0, None, "unknown residual kind", id="bogus--1.0"),
+        ],
+    )
+    def test_rejects_bad_step(self, coarse_grid, kind, h, n, match):
         # h = 0 used to fall back silently to the default step.
-        with pytest.raises(ValueError):
-            residual_report(kind, SET_1, coarse_grid, h=h)
+        with pytest.raises(ValueError, match=match):
+            residual_report(kind, SET_1, coarse_grid, n=n, h=h)
 
 
 class TestStencilEngine:
@@ -240,13 +255,13 @@ def _perturb_beta(monkeypatch, factor):
 
 def _assert_matches_nested_reference(params, xs):
     h = verify._H_NESTED_INNER
-    rel, denoms, forced = verify._annihilation_rel(params, xs, h)
+    rel, denoms = verify._annihilation_rel(params, xs, h, None)
     ref_rel, ref_denoms, ref_forced = _nested_annihilation_rel(params, xs, h)
-    np.testing.assert_array_equal(forced, ref_forced)
-    np.testing.assert_array_equal(np.isfinite(rel), np.isfinite(ref_rel))
+    # Points whose outer stencils straddle a node come back non-finite.
+    np.testing.assert_array_equal(~np.isfinite(rel), ~np.isfinite(ref_rel) | ref_forced)
     for got, ref in zip(denoms["u"], ref_denoms["u"]):
         np.testing.assert_array_equal(got, ref)
-    keep = np.isfinite(rel) & ~forced
+    keep = np.isfinite(rel)
     assert np.max(np.abs(rel[keep] - ref_rel[keep])) <= 1e-6
 
 
