@@ -213,7 +213,7 @@ def run(config: RunConfig, stream=None) -> int:
         if config.command not in _HEADERS:
             print(f"unknown command {config.command!r}", file=sys.stderr)
             return 2
-        if config.command in ("piv", "extremal") and config.family not in (1, 2, 3):
+        if config.command in ("piv", "extremal") and config.family not in painleve.FAMILIES:
             print("--family is required and must be 1, 2, or 3", file=sys.stderr)
             return 2
         if not config.output_path:
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_piv = sub.add_parser("piv", help="one Painleve IV solution family over a grid")
     add_params(p_piv)
-    p_piv.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
+    p_piv.add_argument("--family", type=int, choices=painleve.FAMILIES, required=True)
     add_grid(p_piv)
     add_output(p_piv)
 
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ext = sub.add_parser("extremal", help="extremal state of one family over a grid")
     add_params(p_ext)
-    p_ext.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
+    p_ext.add_argument("--family", type=int, choices=painleve.FAMILIES, required=True)
     add_grid(p_ext)
     add_output(p_ext)
 

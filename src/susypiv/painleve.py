@@ -26,7 +26,32 @@ from .errors import BadFamily
 from .grid import screen
 from .seed import TransformParams
 
-FAMILIES = (1, 2, 3)
+
+@dataclass(frozen=True)
+class _Family:
+    energy: object  # complex eps -> energy of the extremal state
+    parameters: object  # complex eps -> (a, b) of the family's Painleve IV equation
+    b_of_a: object  # complex a -> the b that a pins within the family
+
+
+_FAMILY_TABLE = {
+    1: _Family(
+        energy=lambda eps: eps + 2.0,
+        parameters=lambda eps: (-(eps + 5.0) / 2.0, -((eps - 1.0) ** 2) / 2.0),
+        b_of_a=lambda a: -2.0 * (a + 3.0) ** 2,
+    ),
+    2: _Family(
+        energy=lambda eps: complex(1.0),
+        parameters=lambda eps: (eps - 1.0, complex(-2.0)),
+        b_of_a=lambda a: complex(-2.0),
+    ),
+    3: _Family(
+        energy=lambda eps: eps,
+        parameters=lambda eps: ((1.0 - eps) / 2.0, -((eps + 1.0) ** 2) / 2.0),
+        b_of_a=lambda a: -2.0 * (a - 1.0) ** 2,
+    ),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -53,42 +78,25 @@ class PivPointEval:
     x: float
 
 
-def _check_family(family):
+def _family(family) -> _Family:
     if family not in FAMILIES:
         raise BadFamily(f"family must be one of {FAMILIES}, got {family!r}")
+    return _FAMILY_TABLE[family]
 
 
 def extremal_energy(params: TransformParams, family: int) -> complex:
     """Energy of the family's extremal state."""
-    _check_family(family)
-    eps = complex(params.epsilon)
-    if family == 1:
-        return eps + 2.0
-    if family == 2:
-        return complex(1.0)
-    return eps
+    return _family(family).energy(complex(params.epsilon))
 
 
 def piv_parameters(params: TransformParams, family: int):
     """(a, b) of the Painleve IV equation solved by the family."""
-    _check_family(family)
-    eps = complex(params.epsilon)
-    if family == 1:
-        return -(eps + 5.0) / 2.0, -((eps - 1.0) ** 2) / 2.0
-    if family == 2:
-        return eps - 1.0, complex(-2.0)
-    return (1.0 - eps) / 2.0, -((eps + 1.0) ** 2) / 2.0
+    return _family(family).parameters(complex(params.epsilon))
 
 
 def b_of_a(family: int, a) -> complex:
     """b pinned by a within each family: -2(a+3)^2, -2, -2(a-1)^2."""
-    _check_family(family)
-    a = complex(a)
-    if family == 1:
-        return -2.0 * (a + 3.0) ** 2
-    if family == 2:
-        return complex(-2.0)
-    return -2.0 * (a - 1.0) ** 2
+    return _family(family).b_of_a(complex(a))
 
 
 def piv_solution(params: TransformParams, family: int, x) -> PivPointEval:
@@ -146,7 +154,7 @@ def family_grid_eval(params: TransformParams, family: int, xs):
     for the grid exclusion rule and ``grid.screen``; singular entries come
     back non-finite instead of raising.
     """
-    _check_family(family)
+    _family(family)
     xs = np.asarray(xs, dtype=float)
     u, up, beta, beta_prime = seed.seed_eval_grid(params, xs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -174,7 +182,7 @@ def family_grid_eval(params: TransformParams, family: int, xs):
 
 def extremal_state_grid(params: TransformParams, family: int, xs):
     """Unnormalized extremal-state samples over an array of positions."""
-    _check_family(family)
+    _family(family)
     xs = np.asarray(xs, dtype=float)
     u, _, beta, beta_prime = seed.seed_eval_grid(params, xs)
     if family == 1:

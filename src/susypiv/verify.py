@@ -2,13 +2,18 @@
 every closed-form construction.
 
 Step sizes are set by the double-precision noise floor, not by truncation
-alone: a second difference amplifies per-evaluation rounding by 1/h^2, so
-order-2 stencils default to h = 1e-3 while order-1 stencils keep h = 1e-4.
-The triple-nested annihilation stencil pays 1/(h_inner h_outer^2): its inner
-difference defaults to h = 5e-4 (capped at 2e-3/(1+|beta|)) and its two outer
-ones take the fixed step 5e-3.  Near a zero of u the truncation term grows
-like (h/d)^4 with d the distance to the zero, so beta-dependent stencils cap
-h at 0.02/(1+|beta|) pointwise.
+alone: a difference of order k amplifies per-evaluation rounding by 1/h^k,
+so the default h is 1e-4, 1e-3 and 2e-3 for orders 1, 2 and 3.  Near a zero
+of u the truncation term grows like (h/d)^4 with d the distance to the zero,
+so beta-dependent stencils cap h pointwise at 0.02/(1+|beta|), the order-3
+one at 0.01/(1+|beta|).
+
+The annihilation check applies the third-order lowering operator, expanded
+with beta'' = 2x - 2 beta beta', to psi = 1/u, whose three derivatives come
+from one 7-offset stencil:
+
+    (-d+beta)(d+x)(d+beta) psi = -psi''' - x psi'' + (beta^2 - 2 beta' - 1) psi'
+        + (beta beta' + x beta^2 - beta'' - beta - x beta') psi
 
 Each residual kind is one row of ``KINDS``, which ``residual_report``,
 ``threshold_for`` and ``report_plan`` all read.
@@ -17,12 +22,7 @@ Every stencil goes through one engine, ``_on_offsets``: it stacks the grid
 shifted by each stencil offset, flattens the stack and evaluates the
 function over it in chunks of at most 4096 points, so a stencil costs one
 seed call per chunk instead of one per offset, and the series work space of
-each call stays bounded.  The nested annihilation stencil only ever needs its inner
-function at the lattice x + k*h_outer/2, k = -4..4; 1/u is evaluated once on
-those 9 shifts times the 5 inner offsets, beta once on the 8 nonzero shifts,
-and the outer differences are index arithmetic on the lattice rows.  The
-lattice takes the grid in blocks of 4096 points, so its 45 values per point
-stay bounded too.
+each call stays bounded.
 """
 
 from __future__ import annotations
@@ -42,15 +42,15 @@ EXCLUDE_REL = 1e-6
 
 _H_ORDER1 = 1e-4
 _H_ORDER2 = 1e-3
-_H_NESTED_INNER = 5e-4
-_H_NESTED_OUTER = 5e-3
+_H_ORDER3 = 2e-3
 _POLE_CAP = 0.02
-_NESTED_CAP = 2e-3
+_ORDER3_CAP = 0.01
 # Largest number of stencil points handed to one function call.
 _CHUNK = 4096
 # Offsets, in units of h, of the Richardson stencils below.
 _D1_OFFSETS = (1.0, -1.0, 0.5, -0.5)
 _D2_OFFSETS = (0.0,) + _D1_OFFSETS
+_D3_OFFSETS = _D2_OFFSETS + (2.0, -2.0)
 
 # The five showcase parameter sets exercised by the verification suites.
 BENCHMARK_PARAMS = (
@@ -97,6 +97,13 @@ def _d2(v, h):
     return (4.0 * fine - coarse) / 3.0
 
 
+def _d3(v, h):
+    """Richardson third derivative, O(h^4), from the values at _D3_OFFSETS."""
+    coarse = (v[5] - 2.0 * v[1] + 2.0 * v[2] - v[6]) / (2.0 * h * h * h)
+    fine = (v[1] - 2.0 * v[3] + 2.0 * v[4] - v[2]) / (0.25 * h * h * h)
+    return (4.0 * fine - coarse) / 3.0
+
+
 def fd_derivative(f, x, order: int = 1, h: float | None = None) -> complex:
     """Centered difference with one Richardson step (h and h/2); O(h^4)."""
     if order not in (1, 2):
@@ -138,17 +145,22 @@ def _fd2(fn, xs, h):
     return v[0], _d2(v, h)
 
 
-def _capped(h, beta):
-    return np.minimum(h, _POLE_CAP / (1.0 + np.abs(beta)))
+def _capped(h, beta, cap=_POLE_CAP):
+    return np.minimum(h, cap / (1.0 + np.abs(beta)))
+
+
+def _relative(terms):
+    """|sum of the signed terms, from the first| over 1 + the sum of their sizes."""
+    scale = 1.0
+    for t in terms:
+        scale = scale + np.abs(t)
+    return np.abs(sum(terms[1:], start=terms[0])) / scale
 
 
 def _schrodinger_rel(params, xs, h, n):
     u, up, _, _ = seed.seed_eval_grid(params, xs)
     _, upp = _fd2(lambda t: seed.seed_u(params, t), xs, h)
-    eps = params.epsilon
-    resid = -upp + xs * xs * u - eps * u
-    scale = 1.0 + np.abs(upp) + np.abs(xs * xs * u) + np.abs(eps * u)
-    return np.abs(resid) / scale, seed.u_denominator(u, up)
+    return _relative((-upp, xs * xs * u, -params.epsilon * u)), seed.u_denominator(u, up)
 
 
 def _riccati_rel(params, xs, h, n):
@@ -166,12 +178,7 @@ def _piv_rel(family, params, xs, h, n):
     g, gp, gpp, denoms = painleve.family_grid_eval(params, family, xs)
     a, b = painleve.piv_parameters(params, family)
     with np.errstate(all="ignore"):
-        terms = painleve.piv_residual_terms(g, gp, gpp, xs, a, b)
-        resid = painleve.piv_residual_sum(terms)
-        scale = 1.0
-        for t in terms:
-            scale = scale + np.abs(t)
-        return np.abs(resid) / scale, denoms
+        return _relative(painleve.piv_residual_terms(g, gp, gpp, xs, a, b)), denoms
 
 
 def _state_rel(params, xs, h, state, energy):
@@ -196,74 +203,28 @@ def _new_state_rel(params, xs, h, n):
     return _state_rel(params, xs, h, lambda t: susy.new_state(params, t), params.epsilon)
 
 
-def _annihilation_rel(params, xs, h, n):
-    # Third-order lowering operator (-d+beta)(d+x)(d+beta) applied to 1/u by
-    # nested differencing; the exact result is zero.  The innermost difference
-    # is the only one whose truncation sees the full pole cascade of 1/u, so
-    # it takes a small (and beta-capped) step; the outer two differentiate a
-    # function that is already ~0 and take wide steps to keep the 1/(h1 h2 h3)
-    # noise amplification down.
-    u, up, b0, _ = seed.seed_eval_grid(params, xs)
-    h_inner = np.minimum(h, _NESTED_CAP / (1.0 + np.abs(b0)))
-    # The lattice holds 45 values of 1/u per grid point, so the grid goes
-    # through it in blocks of _CHUNK points to keep memory bounded.
-    blocks = [slice(i, i + _CHUNK) for i in range(0, xs.size, _CHUNK)]
-    rel = np.concatenate([_lowered_rel(params, xs[b], b0[b], h_inner[b]) for b in blocks])
-    # The wide outer stencils are not beta-capped, so near a *real* node of u
-    # they can straddle the pole of 1/u; those points are singular for this
-    # check: they are marked non-finite, which excludes them.
-    rel[_node_straddle_mask(u, xs, 2.0 * _H_NESTED_OUTER + float(np.max(h_inner)))] = np.nan
-    return rel, seed.u_denominator(u, up)
-
-
-def _lowered_rel(params, xs, b0, h_inner):
-    """|(-d+beta)(d+x)(d+beta)(1/u)| at ``xs`` over the sum of its terms' sizes.
-
-    Each outer difference reaches h_outer to either side in steps of
-    h_outer/2, so w1 = psi' + beta psi is needed only on the lattice
-    xs + k h_outer/2, k = -4..4 (rows 0..8; row 4 is xs, where beta = b0).
-    """
-
-    def psi(t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / seed.seed_u(params, t)
-
-    beta_at = lambda t: seed.seed_eval_grid(params, t)[2]
-    h_outer = _H_NESTED_OUTER
-    shifts = [k * 0.5 * h_outer for k in range(-4, 5)]
-    lattice = np.stack([xs + s for s in shifts])
-    beta = np.insert(_on_offsets(beta_at, xs, shifts[:4] + shifts[5:]), 4, b0, axis=0)
-    psi_at = _on_offsets(psi, lattice, [c * h_inner for c in _D2_OFFSETS])
-    p, d_psi = psi_at[0], _d1(psi_at[1:], h_inner)
-    w1 = d_psi + beta * p
-
-    def outer_d1(w):
-        # The first difference at each row with two lattice rows on either side.
-        return _d1((w[4:], w[:-4], w[3:-1], w[1:-3]), h_outer)
-
-    d_w1 = outer_d1(w1)
-    w2 = d_w1 + lattice[2:-2] * w1[2:-2]
-    d_w2 = outer_d1(w2)[0]
-    lowered = -d_w2 + b0 * w2[2]
-    scale = (
-        1.0
-        + np.abs(d_psi[4])
-        + np.abs(b0 * p[4])
-        + np.abs(d_w1[2])
-        + np.abs(xs * w1[4])
-        + np.abs(d_w2)
-        + np.abs(b0 * w2[2])
+def _annihilation_terms(psi, d1, d2, d3, xs, beta, beta_p):
+    """The four signed terms of (-d+beta)(d+x)(d+beta) psi, from psi and its
+    first three derivatives; elementwise on arrays."""
+    beta_pp = 2.0 * xs - 2.0 * beta * beta_p
+    return (
+        -d3,
+        -xs * d2,
+        (beta * beta - 2.0 * beta_p - 1.0) * d1,
+        (beta * beta_p + xs * beta * beta - beta_pp - beta - xs * beta_p) * psi,
     )
-    return np.abs(lowered) / scale
 
 
-def _node_straddle_mask(u, xs, reach):
-    """Points whose stencil window may cross a sign-change bracket of u."""
-    mask = np.zeros(xs.shape, dtype=bool)
-    for i in seed.sign_change_brackets(u):
-        node = 0.5 * (xs[i] + xs[i + 1])
-        mask |= np.abs(xs - node) <= reach + (xs[1] - xs[0])
-    return mask
+def _annihilation_rel(params, xs, h, n):
+    # The third-order lowering operator annihilates the extremal state 1/u.
+    u, up, beta, beta_p = seed.seed_eval_grid(params, xs)
+    step = _capped(h, beta, _ORDER3_CAP)
+    offsets = [c * step for c in _D3_OFFSETS]
+    with np.errstate(all="ignore"):
+        psi = _on_offsets(lambda t: 1.0 / seed.seed_u(params, t), xs, offsets)
+        d1, d2, d3 = _d1(psi[1:5], step), _d2(psi[:5], step), _d3(psi, step)
+        terms = _annihilation_terms(psi[0], d1, d2, d3, xs, beta, beta_p)
+        return _relative(terms), seed.u_denominator(u, up)
 
 
 @dataclass(frozen=True)
@@ -287,7 +248,7 @@ KINDS = {
     },
     "eigen": _Kind(_eigen_rel, _H_ORDER2, 1e-6, levels=(0, 1, 2, 3)),
     "new_state": _Kind(_new_state_rel, _H_ORDER2, 1e-6),
-    "annihilation": _Kind(_annihilation_rel, _H_NESTED_INNER, 1e-5),
+    "annihilation": _Kind(_annihilation_rel, _H_ORDER3, 1e-6),
 }
 
 THRESHOLDS = {kind: row.threshold for kind, row in KINDS.items()}

@@ -114,7 +114,7 @@ def test_criterion_07_new_state_norm():
 @pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
 def test_criterion_08_annihilation(params):
     report = residual_report("annihilation", params, GRID)
-    assert report.max_relative <= 1e-5, report
+    assert report.max_relative <= 1e-6, report
     _passed(8, f"annihilation max_relative={report.max_relative:.2e} (eps={params.epsilon})")
 
 

@@ -190,34 +190,42 @@ def test_saturated_eigen_reports_keep_their_level(monkeypatch, tmp_path):
     assert [e["kind"] for e in entries if e.get("saturated")] == saturated
 
 
-WIDE_VERIFY_ARGV = [
-    "verify", "--epsilon-re", "21", "--epsilon-im", "0.5", "--lambda", "1", "--kappa", "1",
-    "--xmin", "-7", "--xmax", "7",
+# (Re eps, Im eps, lambda, kappa) of +-7 verify runs: 21+0.5i, then the sets
+# the wide_domain benchmark draws for its seeds 1, 8, 13 and 37.
+WIDE_VERIFY_SETS = [
+    ("21", "0.5", "1", "1"),
+    ("21.9257", "0.3725", "1.073", "0.562"),
+    ("20.1194", "0.631", "1.469", "1.003"),
+    ("20.2682", "0.5542", "1.193", "0.848"),
+    ("20.9295", "0.3461", "0.936", "0.731"),
 ]
 WIDE_VERIFY_KINDS = [
     "schrodinger", "riccati", "piv_family_1", "piv_family_2", "piv_family_3",
-    "eigen(0)", "eigen(1)", "eigen(2)", "eigen(3)", "new_state",
-    pytest.param(
-        "annihilation",
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="nested finite-difference stencil noise (about 2.6e-5 against 1e-5)",
-        ),
-    ),
+    "eigen(0)", "eigen(1)", "eigen(2)", "eigen(3)", "new_state", "annihilation",
 ]
 
 
 @pytest.fixture(scope="module")
 def wide_verify_lines():
-    # z = x**2 reaches 49 on the +-7 grid, with Re eps = 21.
-    stream = io.StringIO()
-    run(cli.config_from_args(cli.build_parser().parse_args(WIDE_VERIFY_ARGV)), stream)
-    return {line.split()[3]: line for line in stream.getvalue().splitlines()[:-1]}
+    # z = x**2 reaches 49 on the +-7 grid, with Re eps near 21.
+    lines = {}
+    for re, im, lam, kappa in WIDE_VERIFY_SETS:
+        argv = [
+            "verify", "--epsilon-re", re, "--epsilon-im", im, "--lambda", lam,
+            "--kappa", kappa, "--xmin", "-7", "--xmax", "7",
+        ]
+        stream = io.StringIO()
+        run(cli.config_from_args(cli.build_parser().parse_args(argv)), stream)
+        for line in stream.getvalue().splitlines()[:-1]:
+            lines.setdefault(line.split()[3], []).append(line)
+    return lines
 
 
 @pytest.mark.parametrize("kind", WIDE_VERIFY_KINDS)
 def test_wide_grid_large_epsilon_report_passes(wide_verify_lines, kind):
-    assert wide_verify_lines[kind].endswith("PASS"), wide_verify_lines[kind]
+    assert len(wide_verify_lines[kind]) == len(WIDE_VERIFY_SETS)
+    for line in wide_verify_lines[kind]:
+        assert line.endswith("PASS"), line
 
 
 def test_overflow_is_one_error_line(tmp_path):

@@ -18,6 +18,7 @@ from susypiv import (
     threshold_for,
 )
 from susypiv import cli, kummer, seed, verify
+from susypiv.grid import singular
 from susypiv.verify import BENCHMARK_PARAMS, THRESHOLDS
 
 SET_1 = BENCHMARK_PARAMS[0]
@@ -97,12 +98,18 @@ class TestResidualReport:
             residual_report("banana", SET_1, coarse_grid)
 
     def test_real_node_annihilation_excludes_straddled_points(self):
-        # Real eps with a node: the wide outer stencils would cross the pole
-        # of 1/u; those points must be reported as excluded, not failed.
+        # Real eps with a node of u inside the grid: the beta-capped stencil
+        # never reaches the pole of 1/u, so the check excludes exactly the
+        # points of the u denominator rule (none on this grid) and passes.
         grid = Grid(-5.0, 5.0, 0.01)
         params = TransformParams(epsilon=1.0, lam=5.0, kappa=0.0)
+        xs = grid.points()
+        u, up, _, _ = seed.seed_eval_grid(params, xs)
+        assert len(seed.sign_change_brackets(u)) == 1
+        mag, local_scale = seed.u_denominator(u, up)["u"]
+        by_u_rule = (mag < verify.EXCLUDE_REL * np.median(mag)) | singular(mag, local_scale)
         report = residual_report("annihilation", params, grid)
-        assert len(report.excluded_points) > 0
+        assert report.excluded_points == tuple(float(v) for v in xs[by_u_rule])
         assert report.max_relative <= THRESHOLDS["annihilation"]
 
     def test_kind_label_carries_level(self, coarse_grid):
@@ -151,9 +158,10 @@ class TestStencilEngine:
 
     def test_default_verify_call_count(self, monkeypatch):
         # One seed evaluation per stencil chunk, not per stencil point: a
-        # default single-set run (11 reports on 1001 points) takes 37; one
-        # call per stencil offset took 194.  The seed evaluates its Taylor
-        # chain, so no kummer_m call is left at all.
+        # default single-set run (11 reports on 1001 points) takes 26; one
+        # call per stencil offset took 194, and the nested annihilation
+        # lattice 37.  The seed evaluates its Taylor chain, so no kummer_m
+        # call is left at all.
         calls = []
         original = kummer.kummer_m
 
@@ -175,9 +183,8 @@ class TestStencilEngine:
             command="verify", epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0
         )
         assert cli.run(config, io.StringIO()) == 0
-        assert len(calls) <= 40
         assert calls == []
-        assert 0 < len(evaluations) <= 40
+        assert 0 < len(evaluations) <= 26
 
     def test_verify_all_builds_one_chain_per_set(self, monkeypatch):
         # The seed caches the last parameter set's Taylor chain, and --all
@@ -202,45 +209,68 @@ def _nested_fd1(fn, xs, h):
     return (4.0 * fine - coarse) / 3.0
 
 
-def _nested_annihilation_rel(params, xs, h):
-    """Reference: the annihilation residual by literal nested differencing,
-    one seed call per stencil offset (150 per report)."""
-
-    def psi(t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / seed_u(params, t)
+def _nested_annihilation_rel(params, xs, h, psi):
+    """Reference: (-d+beta)(d+x)(d+beta) psi with the seed's beta, by literal
+    nested differencing, one call per stencil offset."""
 
     def beta_at(t):
         return seed.seed_eval_grid(params, t)[2]
 
-    u, up, b0, _ = seed.seed_eval_grid(params, xs)
-    p0 = psi(xs)
-    h_inner = np.minimum(h, verify._NESTED_CAP / (1.0 + np.abs(b0)))
-    h_outer = verify._H_NESTED_OUTER
-
     def w1(t):
-        return _nested_fd1(psi, t, h_inner) + beta_at(t) * psi(t)
+        return _nested_fd1(psi, t, h) + beta_at(t) * psi(t)
 
     def w2(t):
-        return _nested_fd1(w1, t, h_outer) + t * w1(t)
+        return _nested_fd1(w1, t, h) + t * w1(t)
 
-    d_psi = _nested_fd1(psi, xs, h_inner)
-    w1_0 = d_psi + b0 * p0
-    d_w1 = _nested_fd1(w1, xs, h_outer)
-    w2_0 = d_w1 + xs * w1_0
-    d_w2 = _nested_fd1(w2, xs, h_outer)
-    lowered = -d_w2 + b0 * w2_0
-    scale = (
-        1.0
-        + np.abs(d_psi)
-        + np.abs(b0 * p0)
-        + np.abs(d_w1)
-        + np.abs(xs * w1_0)
-        + np.abs(d_w2)
-        + np.abs(b0 * w2_0)
+    return -_nested_fd1(w2, xs, h) + beta_at(xs) * w2(xs)
+
+
+def test_third_difference_is_exact_on_a_sextic():
+    h = 0.1
+    v = [(1.3 + c * h) ** 6 for c in verify._D3_OFFSETS]
+    assert abs(verify._d3(v, h) - 120.0 * 1.3**3) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "params",
+    list(BENCHMARK_PARAMS) + [TransformParams(epsilon=1.0, lam=5.0, kappa=0.0)],
+    ids=PARAM_IDS + ["eps1_lam5_kap0_real_node"],
+)
+def test_annihilation_terms_match_nested_composition(params, coarse_grid):
+    # The oscillator ground state, with exact derivatives, is not annihilated
+    # for the seed's beta, so the expanded operator carries signal: it must
+    # match the literal composition to finite-difference error.
+    xs = coarse_grid.points()
+    _, _, beta, beta_p = seed.seed_eval_grid(params, xs)
+    g = np.exp(-0.5 * xs * xs)
+    terms = verify._annihilation_terms(
+        g, -xs * g, (xs * xs - 1.0) * g, (3.0 * xs - xs**3) * g, xs, beta, beta_p
     )
-    forced = verify._node_straddle_mask(u, xs, 2.0 * h_outer + float(np.max(h_inner)))
-    return np.abs(lowered) / scale, {"u": (np.abs(u), 1.0 + np.abs(up))}, forced
+    expanded = sum(terms)
+    scale = 1.0 + sum(np.abs(t) for t in terms)
+    h = np.minimum(5e-3, 0.02 / (1.0 + np.abs(beta)))
+    nested = _nested_annihilation_rel(params, xs, h, lambda t: np.exp(-0.5 * t * t))
+    assert np.max(np.abs(expanded) / scale) > 0.5
+    assert np.max(np.abs(expanded - nested) / scale) <= 1e-6
+
+
+def _mutate_seed(monkeypatch, u_factor, up_factor):
+    """Patch seed_u and seed_eval_grid together: u and u' times the given
+    functions of x, with beta and beta' recomputed from the mutated pair."""
+    exact_u, exact_grid = seed.seed_u, seed.seed_eval_grid
+
+    def mutated_u(p, t):
+        return exact_u(p, t) * u_factor(np.asarray(t, dtype=float))
+
+    def mutated_grid(p, xs):
+        u, up, _, _ = exact_grid(p, xs)
+        xs = np.asarray(xs, dtype=float)
+        u, up = u * u_factor(xs), up * up_factor(xs)
+        beta = up / u
+        return u, up, beta, xs * xs - p.epsilon - beta * beta
+
+    monkeypatch.setattr(seed, "seed_u", mutated_u)
+    monkeypatch.setattr(seed, "seed_eval_grid", mutated_grid)
 
 
 def _perturb_beta(monkeypatch, factor):
@@ -253,39 +283,8 @@ def _perturb_beta(monkeypatch, factor):
     monkeypatch.setattr(seed, "seed_eval_grid", perturbed)
 
 
-def _assert_matches_nested_reference(params, xs):
-    h = verify._H_NESTED_INNER
-    rel, denoms = verify._annihilation_rel(params, xs, h, None)
-    ref_rel, ref_denoms, ref_forced = _nested_annihilation_rel(params, xs, h)
-    # Points whose outer stencils straddle a node come back non-finite.
-    np.testing.assert_array_equal(~np.isfinite(rel), ~np.isfinite(ref_rel) | ref_forced)
-    for got, ref in zip(denoms["u"], ref_denoms["u"]):
-        np.testing.assert_array_equal(got, ref)
-    keep = np.isfinite(rel)
-    assert np.max(np.abs(rel[keep] - ref_rel[keep])) <= 1e-6
-
-
-@pytest.mark.parametrize(
-    "params",
-    list(BENCHMARK_PARAMS) + [TransformParams(epsilon=1.0, lam=5.0, kappa=0.0)],
-    ids=PARAM_IDS + ["eps1_lam5_kap0_real_node"],
-)
-def test_lattice_annihilation_matches_nested_reference(params, default_grid):
-    _assert_matches_nested_reference(params, default_grid.points())
-
-
-@pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
-def test_lattice_annihilation_matches_reference_with_wrong_beta(
-    params, coarse_grid, monkeypatch
-):
-    # With exact beta, w1 = psi' + beta psi is rounding noise and the outer
-    # differences act on noise; a beta off by 1e-5 makes w1 ~ 1e-5 beta psi,
-    # so the outer lattice stencils carry signal and a wrong row would show.
-    # A 64-point chunk splits the grid into blocks and the lattice into
-    # chunks that cross row boundaries.
-    _perturb_beta(monkeypatch, 1.0 + 1e-5)
-    monkeypatch.setattr(verify, "_CHUNK", 64)
-    _assert_matches_nested_reference(params, coarse_grid.points())
+# Each mutation must fail the check by at least this multiple of its threshold.
+_MUTATION_MARGIN = 3.0
 
 
 @pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
@@ -293,7 +292,24 @@ def test_annihilation_fails_when_beta_is_wrong(params, default_grid, monkeypatch
     # A 1e-5 relative error in beta alone must make the check fail.
     _perturb_beta(monkeypatch, 1.0 + 1e-5)
     report = residual_report("annihilation", params, default_grid)
-    assert report.max_relative > THRESHOLDS["annihilation"]
+    assert report.max_relative > _MUTATION_MARGIN * THRESHOLDS["annihilation"]
+
+
+@pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
+@pytest.mark.parametrize(
+    "u_factor, up_factor",
+    [
+        pytest.param(lambda t: 1.0 + 1e-5 * t, lambda t: 1.0, id="u*(1+1e-5x)"),
+        pytest.param(lambda t: 1.0, lambda t: 1.0 + 1e-5, id="u'*(1+1e-5)"),
+    ],
+)
+def test_annihilation_fails_when_u_is_wrong(
+    params, u_factor, up_factor, default_grid, monkeypatch
+):
+    # A 1e-5 error in u or u' reaches both 1/u and beta, and must fail too.
+    _mutate_seed(monkeypatch, u_factor, up_factor)
+    report = residual_report("annihilation", params, default_grid)
+    assert report.max_relative > _MUTATION_MARGIN * THRESHOLDS["annihilation"]
 
 
 def test_threshold_lookup():
