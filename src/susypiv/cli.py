@@ -2,9 +2,12 @@
 IV solution families, spectra, extremal states, and the residual verification
 suites.
 
-Complex columns are serialized as separate real/imaginary fields so the
-output plots directly.  Exit status: 0 ok, 1 verification failure, 2 invalid
-configuration, 3 singular-point saturation.
+A data command is one row of ``_COMMANDS``: its header and a function that
+returns its columns over the whole grid as 1-d arrays.  Rows with a
+non-finite float are dropped, and ``_write`` formats the columns straight to
+text in blocks of rows.  Complex columns are serialized as separate
+real/imaginary fields so the output plots directly.  Exit status: 0 ok,
+1 verification failure, 2 invalid configuration, 3 singular-point saturation.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,13 +23,6 @@ from . import painleve, susy, verify
 from .errors import AllPointsExcluded, SusypivError
 from .grid import Grid
 from .seed import TransformParams
-
-_HEADERS = {
-    "potential": ("x", "re", "im", "re_v", "im_v"),
-    "piv": ("x", "re", "im", "re_residual", "im_residual"),
-    "spectrum": ("index", "re", "im", "off_real_axis", "degenerate"),
-    "extremal": ("x", "re", "im"),
-}
 
 
 @dataclass(frozen=True)
@@ -58,95 +54,80 @@ class RunConfig:
         return Grid(self.xmin, self.xmax, self.step)
 
     def to_dict(self) -> dict:
+        """The flags in field order, ``lam`` spelled ``lambda``; ``run_all`` is left out."""
         return {
-            "command": self.command,
-            "epsilon_re": self.epsilon_re,
-            "epsilon_im": self.epsilon_im,
-            "lambda": self.lam,
-            "kappa": self.kappa,
-            "family": self.family,
-            "xmin": self.xmin,
-            "xmax": self.xmax,
-            "step": self.step,
-            "n_max": self.n_max,
-            "output_path": self.output_path,
-            "format": self.format,
+            "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "run_all"
         }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _write_rows(config: RunConfig, header, rows) -> None:
-    if config.format == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "config": config.to_dict(),
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    with open(config.output_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _keep_finite(*columns):
-    stacked = np.vstack([np.asarray(c, dtype=float) for c in columns])
-    return np.all(np.isfinite(stacked), axis=0)
-
-
-def _potential_rows(config: RunConfig):
+def _potential(config: RunConfig):
     xs = config.grid().points()
     vt = susy.partner_potential(config.params(), xs)
-    keep = _keep_finite(xs, vt.real, vt.imag)
-    return [
-        (float(x), float(v.real), float(v.imag), float(x * x), 0.0)
-        for x, v in zip(xs[keep], vt[keep])
-    ]
+    return xs, vt.real, vt.imag, xs * xs, np.zeros_like(xs)
 
 
-def _piv_rows(config: RunConfig):
+def _piv(config: RunConfig):
     xs = config.grid().points()
     g, gp, gpp, _ = painleve.family_grid_eval(config.params(), config.family, xs)
     a, b = painleve.piv_parameters(config.params(), config.family)
     with np.errstate(all="ignore"):
-        terms = painleve.piv_residual_terms(g, gp, gpp, xs, a, b)
-        resid = painleve.piv_residual_sum(terms)
-    keep = _keep_finite(xs, g.real, g.imag, resid.real, resid.imag)
-    return [
-        (float(x), float(gv.real), float(gv.imag), float(rv.real), float(rv.imag))
-        for x, gv, rv in zip(xs[keep], g[keep], resid[keep])
-    ]
+        resid = painleve.piv_residual_sum(painleve.piv_residual_terms(g, gp, gpp, xs, a, b))
+    return xs, g.real, g.imag, resid.real, resid.imag
 
 
-def _spectrum_rows(config: RunConfig):
+def _spectrum(config: RunConfig):
     n_max = config.n_max if config.n_max is not None else 10
-    params = config.params()
-    levels = susy.spectrum(params, n_max)
-    degenerate = susy.spectrum_degenerate(params, n_max)
-    rows = []
-    for idx, level in enumerate(levels):
-        dup = degenerate and level == levels[0]
-        rows.append(
-            (idx, float(level.real), float(level.imag), bool(level.imag != 0.0), bool(dup))
-        )
-    return rows
+    levels = np.array(susy.spectrum(config.params(), n_max))
+    duplicate = susy.spectrum_degenerate(config.params(), n_max) & (levels == levels[0])
+    return np.arange(levels.size), levels.real, levels.imag, levels.imag != 0.0, duplicate
 
 
-def _extremal_rows(config: RunConfig):
+def _extremal(config: RunConfig):
     xs = config.grid().points()
     values = painleve.extremal_state_grid(config.params(), config.family, xs)
-    keep = _keep_finite(xs, values.real, values.imag)
-    return [
-        (float(x), float(v.real), float(v.imag)) for x, v in zip(xs[keep], values[keep])
-    ]
+    return xs, values.real, values.imag
+
+
+# command -> (header, columns over the grid as 1-d arrays).  The functions call
+# the layers through their module attributes, so wrappers installed there
+# (bench/spans.py) see every call.
+_COMMANDS = {
+    "potential": (("x", "re", "im", "re_v", "im_v"), _potential),
+    "piv": (("x", "re", "im", "re_residual", "im_residual"), _piv),
+    "spectrum": (("index", "re", "im", "off_real_axis", "degenerate"), _spectrum),
+    "extremal": (("x", "re", "im"), _extremal),
+}
+_HEADERS = {name: header for name, (header, _) in _COMMANDS.items()}
+_BLOCK = 65536  # rows per %-template
+_FLOAT_SPEC = {"csv": "%.17g", "json": "%r"}
+
+
+def _write(config: RunConfig, header, columns) -> None:
+    """Write the columns as CSV (floats at .17g) or as the text of
+    ``json.dumps({"config": ..., "rows": [...]}, indent=2)``, formatting
+    _BLOCK rows per %-template; booleans read true/false in both."""
+    columns = [np.where(c, "true", "false") if c.dtype == bool else c for c in columns]
+    specs = [{"U": "%s", "i": "%d"}.get(c.dtype.kind, _FLOAT_SPEC[config.format]) for c in columns]
+    if config.format == "csv":
+        head, row, sep, tail = ",".join(header) + "\n", ",".join(specs), "\n", "\n"
+    else:
+        text = json.dumps({"config": config.to_dict(), "rows": []}, indent=2)
+        before, _, after = text.rpartition("[]")
+        items = ",\n".join(f"      {json.dumps(k)}: {spec}" for k, spec in zip(header, specs))
+        head, row, sep, tail = before + "[\n", f"    {{\n{items}\n    }}", ",\n", f"\n  ]{after}\n"
+    n = columns[0].size
+    cells = np.empty((min(n, _BLOCK), len(columns)), dtype=object)
+    with open(config.output_path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for start in range(0, n, _BLOCK):
+            block = cells[: min(n - start, _BLOCK)]
+            for i, column in enumerate(columns):
+                block[:, i] = column[start : start + _BLOCK]
+            values = tuple(block.ravel().tolist())
+            fh.write((sep if start else "") + sep.join([row] * len(block)) % values)
+        fh.write(tail)
 
 
 def _params_label(params: TransformParams) -> str:
@@ -222,17 +203,14 @@ def run(config: RunConfig, stream=None) -> int:
         if config.format not in ("csv", "json"):
             print(f"unknown format {config.format!r}", file=sys.stderr)
             return 2
-        builder = {
-            "potential": _potential_rows,
-            "piv": _piv_rows,
-            "spectrum": _spectrum_rows,
-            "extremal": _extremal_rows,
-        }[config.command]
-        rows = builder(config)
-        if not rows:
+        header, columns = _COMMANDS[config.command]
+        columns = columns(config)
+        floats = [c for c in columns if c.dtype.kind == "f"]
+        finite = np.logical_and.reduce([np.isfinite(c) for c in floats])
+        if not finite.any():
             print("no non-singular points on the grid", file=sys.stderr)
             return 3
-        _write_rows(config, _HEADERS[config.command], rows)
+        _write(config, header, [c[finite] for c in columns])
         return 0
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
@@ -300,21 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        epsilon_re=getattr(args, "epsilon_re", 0.0),
-        epsilon_im=getattr(args, "epsilon_im", 0.0),
-        lam=getattr(args, "lam", 0.0),
-        kappa=getattr(args, "kappa", 0.0),
-        family=getattr(args, "family", None),
-        xmin=getattr(args, "xmin", -5.0),
-        xmax=getattr(args, "xmax", 5.0),
-        step=getattr(args, "step", 0.01),
-        n_max=getattr(args, "n_max", None),
-        output_path=getattr(args, "output_path", None),
-        format=getattr(args, "format", "csv"),
-        run_all=getattr(args, "run_all", False),
-    )
+    # Every flag's dest is the name of its RunConfig field.
+    return RunConfig(**{f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)})
 
 
 def main(argv=None) -> None:

@@ -31,8 +31,8 @@ class Grid:
             raise ValueError("grid endpoints must be finite")
         if self.xmax <= self.xmin:
             raise ValueError("xmax must exceed xmin")
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError("step must be positive and finite")
         if (self.xmax - self.xmin) / self.step > MAX_POINTS:
             raise ValueError(f"grid too fine: more than {MAX_POINTS} points")
 
@@ -59,15 +59,17 @@ def screen(denominators, x) -> None:
 
 def on_points(fn, x, dtype=float):
     """``fn`` over the positions ``x``; ``fn`` maps an ndarray of positions to
-    (values, denominators as for ``screen``).
+    (values, denominators), ``denominators`` being None or a zero-argument
+    callable that builds the mapping ``screen`` takes.
 
-    An ndarray gets its values unscreened.  A scalar is evaluated as a
-    one-element array, so it agrees bit for bit with the grid, is screened,
-    and comes back as a Python scalar.
+    An ndarray gets its values unscreened, and its denominators are never
+    built.  A scalar is evaluated as a one-element array, so it agrees bit
+    for bit with the grid, is screened, and comes back as a Python scalar.
     """
     xs = np.asarray(x, dtype=dtype)
     values, denominators = fn(xs.reshape(xs.shape or (1,)))
     if xs.ndim:
         return values
-    screen(denominators, xs.item())
+    if denominators is not None:
+        screen(denominators(), xs.item())
     return values.item()

@@ -129,7 +129,7 @@ def kummer_m(a, b, z):
             out[..., block] = _maclaurin(
                 _columns(a, block), _columns(b, block), _columns(z, block), int(reach) + 60
             )
-        return out, {}
+        return out, None
 
     return on_points(values, z, dtype=complex)
 

@@ -33,11 +33,11 @@ def eigenfunction(n: int, x):
     def values(xs):
         prev = math.pi ** -0.25 * np.exp(-0.5 * xs * xs)
         if n == 0:
-            return prev, {}
+            return prev, None
         cur = math.sqrt(2.0) * xs * prev
         for k in range(1, n):
             prev, cur = cur, math.sqrt(2.0 / (k + 1)) * xs * cur - math.sqrt(k / (k + 1.0)) * prev
-        return cur, {}
+        return cur, None
 
     return on_points(values, x)
 
@@ -51,6 +51,6 @@ def eigenfunction_derivative(n: int, x):
         out = -xs * eigenfunction(n, xs)
         if n > 0:
             out = out + math.sqrt(2.0 * n) * eigenfunction(n - 1, xs)
-        return out, {}
+        return out, None
 
     return on_points(values, x)

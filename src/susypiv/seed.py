@@ -249,7 +249,7 @@ def seed_u(params: TransformParams, x):
     """
 
     def values(xs):
-        return _chain(params).evaluate(xs.ravel(), derivative=False).reshape(xs.shape), {}
+        return _chain(params).evaluate(xs.ravel(), derivative=False).reshape(xs.shape), None
 
     return on_points(values, x)
 

@@ -32,7 +32,7 @@ def _on_seed(params: TransformParams, x, fn):
     def values(xs):
         u, up, beta, beta_prime = seed.seed_eval_grid(params, xs)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return fn(xs, u, beta, beta_prime), seed.u_denominator(u, up)
+            return fn(xs, u, beta, beta_prime), lambda: seed.u_denominator(u, up)
 
     return on_points(values, x)
 
@@ -49,8 +49,14 @@ def partner_eigenfunction(params: TransformParams, n: int, x):
 
 
 def new_state(params: TransformParams, x):
-    """The eigenstate at the factorization energy: 1/u."""
-    return _on_seed(params, x, lambda xs, u, beta, beta_prime: 1.0 / u)
+    """The eigenstate at the factorization energy: 1/u; only a screened scalar needs u'."""
+
+    def values(xs):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inverse = 1.0 / seed.seed_u(params, xs)
+        return inverse, lambda: seed.u_denominator(*seed.seed_eval_grid(params, xs)[:2])
+
+    return on_points(values, x)
 
 
 def spectrum(params: TransformParams, n_max: int):

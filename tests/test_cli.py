@@ -287,15 +287,133 @@ def test_benchmark_tracer_hooks_install(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     spans = importlib.import_module("spans")
     tracer = spans.Tracer()
+    data = [
+        RunConfig(command="piv", family=1, output_path=str(tmp_path / "g.csv")),
+        RunConfig(command="potential", output_path=str(tmp_path / "v.json"), format="json"),
+        RunConfig(command="extremal", family=3, output_path=str(tmp_path / "e.csv")),
+    ]
     with tracer.installed():
         assert cli.run(RunConfig(command="verify"), io.StringIO()) == 0
-        piv = RunConfig(command="piv", family=1, output_path=str(tmp_path / "g.csv"))
-        assert cli.run(piv, io.StringIO()) == 0
+        for config in data:
+            assert cli.run(config, io.StringIO()) == 0
     assert cli.run.__module__ == "susypiv.cli"  # wrappers removed
     names = {span.name for span in tracer.spans}
     assert {
-        "seed.seed_eval_grid", "painleve.family_grid_eval", "verify.residual_report", "cli.run"
+        "seed.seed_eval_grid", "painleve.family_grid_eval", "painleve.extremal_state_grid",
+        "susy.partner_potential", "verify.residual_report", "cli.run",
     } <= names
+    # cli.bytes_out of grid_export counts the written files.
+    written = [span.attrs["bytes"] for span in tracer.spans if span.name == "cli.run"][1:]
+    assert written == [Path(config.output_path).stat().st_size for config in data]
+
+
+# The per-row writer the column writer replaced, kept as the reference its
+# output must match byte for byte.
+def _reference_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _reference_keep_finite(*columns):
+    stacked = np.vstack([np.asarray(c, dtype=float) for c in columns])
+    return np.all(np.isfinite(stacked), axis=0)
+
+
+def _reference_rows(config):
+    params = config.params()
+    if config.command == "spectrum":
+        levels = cli.susy.spectrum(params, config.n_max)
+        degenerate = cli.susy.spectrum_degenerate(params, config.n_max)
+        return [
+            (i, float(v.real), float(v.imag), bool(v.imag != 0.0), bool(degenerate and v == levels[0]))
+            for i, v in enumerate(levels)
+        ]
+    xs = config.grid().points()
+    if config.command == "potential":
+        vt = cli.susy.partner_potential(params, xs)
+        keep = _reference_keep_finite(xs, vt.real, vt.imag)
+        return [
+            (float(x), float(v.real), float(v.imag), float(x * x), 0.0)
+            for x, v in zip(xs[keep], vt[keep])
+        ]
+    if config.command == "extremal":
+        values = cli.painleve.extremal_state_grid(params, config.family, xs)
+        keep = _reference_keep_finite(xs, values.real, values.imag)
+        return [(float(x), float(v.real), float(v.imag)) for x, v in zip(xs[keep], values[keep])]
+    g, gp, gpp, _ = cli.painleve.family_grid_eval(params, config.family, xs)
+    a, b = cli.painleve.piv_parameters(params, config.family)
+    with np.errstate(all="ignore"):
+        terms = cli.painleve.piv_residual_terms(g, gp, gpp, xs, a, b)
+        resid = cli.painleve.piv_residual_sum(terms)
+    keep = _reference_keep_finite(xs, g.real, g.imag, resid.real, resid.imag)
+    return [
+        (float(x), float(gv.real), float(gv.imag), float(rv.real), float(rv.imag))
+        for x, gv, rv in zip(xs[keep], g[keep], resid[keep])
+    ]
+
+
+def _reference_text(config) -> str:
+    header, rows = cli._HEADERS[config.command], _reference_rows(config)
+    if config.format == "csv":
+        lines = [",".join(header)]
+        lines.extend(",".join(_reference_fmt(v) for v in row) for row in rows)
+        return "\n".join(lines) + "\n"
+    payload = {"config": config.to_dict(), "rows": [dict(zip(header, row)) for row in rows]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# -1+i and 3+1e-3i are benchmark sets; eps = 5 with lambda = kappa = 0 has real
+# nodes, and family 2 drops its row at x = 0, where x + beta vanishes.
+PIN_SETS = {"-1+1i": (-1.0, 1.0, 1.0, 1.0), "5": (5.0, 0.0, 0.0, 0.0), "3+1e-3i": (3.0, 1e-3, 2.0, 2.0)}
+PIN_COMMANDS = [("potential", None), ("spectrum", None)] + [
+    (name, family) for name in ("piv", "extremal") for family in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command,family", PIN_COMMANDS)
+@pytest.mark.parametrize("set_id", list(PIN_SETS))
+def test_column_writer_matches_the_per_row_writer(monkeypatch, tmp_path, set_id, command, family, fmt):
+    re, im, lam, kappa = PIN_SETS[set_id]
+    out = tmp_path / f"out.{fmt}"
+    config = RunConfig(
+        command=command, epsilon_re=re, epsilon_im=im, lam=lam, kappa=kappa, family=family,
+        step=0.05, n_max=10, output_path=str(out), format=fmt,
+    )
+    want = _reference_text(config).encode()
+    # 201 grid points (200 rows where a row is dropped) and 12 spectrum rows:
+    # blocks of 7 end mid-table, blocks of 67 split the full grid evenly, and
+    # the default block holds everything.
+    for block in (7, 67, cli._BLOCK):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        assert run(config) == 0
+        assert out.read_bytes() == want, (block, set_id, command, family, fmt)
+    dropped = (set_id, command, family) == ("5", "piv", 2)
+    assert len(_reference_rows(config)) == (12 if command == "spectrum" else 201 - dropped)
+
+
+def test_no_row_left_writes_no_file(monkeypatch, tmp_path):
+    out = tmp_path / "pot.csv"
+    monkeypatch.setattr(cli.susy, "partner_potential", lambda params, xs: np.full(xs.shape, np.nan + 0j))
+    assert run(RunConfig(command="potential", output_path=str(out))) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_non_finite_step_is_invalid(tmp_path, capsys, step):
+    from susypiv import Grid
+
+    with pytest.raises(ValueError, match="finite"):
+        Grid(-5.0, 5.0, float(step))
+    argv = ["potential", "--step", step, "--output", str(tmp_path / "pot.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(cli.config_from_args(cli.build_parser().parse_args(argv))) == 2
+    assert capsys.readouterr().err.startswith("invalid configuration: step must be positive and finite")
+    assert not (tmp_path / "pot.csv").exists()
 
 
 class TestValidation:
