@@ -14,7 +14,8 @@ class PoleArgument(SusypivError):
 
 
 class NoConvergence(SusypivError):
-    """Series failed to meet the term tolerance within its term budget, or overflowed."""
+    """A series did not converge, a value or its input left the double range,
+    or the seed chain would need more centres than it allows."""
 
 
 class DegreeTooLarge(SusypivError):

@@ -265,13 +265,14 @@ def test_potential_past_the_1f1_overflow_limit_matches_oracle(tmp_path):
 
 @pytest.mark.parametrize("lam", [-1.1283791670955123, -1.1283791670955126])
 def test_recessive_real_seed_verify_is_clean(lam):
-    # eps = -1 with the real-reduction lambda, real_case_lambda(-1, -1) (the
-    # first value; the second is 3 ulp away): u decays on +x.  The 1F1 seed
-    # leaked RuntimeWarnings here and failed 8 of 11 reports; at the second
-    # value it stopped with "1F1 input is not finite" (exit 2).
+    # eps = -1 with the real-reduction lambda, -2/sqrt(pi): the second value
+    # is real_case_lambda(-1, -1), the double nearest it, and the first is the
+    # adjacent double: u decays on +x.  The 1F1 seed leaked RuntimeWarnings
+    # here and failed 8 of 11 reports; at the second value it stopped with
+    # "1F1 input is not finite" (exit 2).
     from susypiv import real_case_lambda
 
-    assert real_case_lambda(-1.0, -1.0) == -1.1283791670955123
+    assert real_case_lambda(-1.0, -1.0) == -1.1283791670955126
     config = RunConfig(command="verify", epsilon_re=-1.0, lam=lam, xmin=-8.0, xmax=8.0)
     stream = io.StringIO()
     with warnings.catch_warnings():
