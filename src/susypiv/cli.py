@@ -3,17 +3,22 @@ IV solution families, spectra, extremal states, and the residual verification
 suites.
 
 A data command is one row of ``_COMMANDS``: its header and a function that
-returns its columns over the whole grid as 1-d arrays.  Rows with a
-non-finite float are dropped, and ``_write`` formats the columns straight to
-text in blocks of rows.  Complex columns are serialized as separate
-real/imaginary fields so the output plots directly.  Exit status: 0 ok,
-1 verification failure, 2 invalid configuration, 3 singular-point saturation.
+returns its columns at a block of grid positions as 1-d arrays.  Each block
+of ``_BLOCK`` points is computed, stripped of its rows with a non-finite
+float, and formatted straight to text by ``_write`` in turn, so memory does
+not grow with the grid.  The text goes to a temporary file that replaces
+``--output`` only when the command succeeds.  Complex columns are serialized
+as separate real/imaginary fields so the output plots directly.  Exit status:
+0 ok, 1 verification failure, 2 invalid configuration, 3 singular-point
+saturation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -62,14 +67,12 @@ class RunConfig:
         }
 
 
-def _potential(config: RunConfig):
-    xs = config.grid().points()
+def _potential(config: RunConfig, xs):
     vt = susy.partner_potential(config.params(), xs)
     return xs, vt.real, vt.imag, xs * xs, np.zeros_like(xs)
 
 
-def _piv(config: RunConfig):
-    xs = config.grid().points()
+def _piv(config: RunConfig, xs):
     g, gp, gpp, _ = painleve.family_grid_eval(config.params(), config.family, xs)
     a, b = painleve.piv_parameters(config.params(), config.family)
     with np.errstate(all="ignore"):
@@ -77,22 +80,21 @@ def _piv(config: RunConfig):
     return xs, g.real, g.imag, resid.real, resid.imag
 
 
-def _spectrum(config: RunConfig):
+def _spectrum(config: RunConfig, xs):
     n_max = config.n_max if config.n_max is not None else 10
     levels = np.array(susy.spectrum(config.params(), n_max))
     duplicate = susy.spectrum_degenerate(config.params(), n_max) & (levels == levels[0])
     return np.arange(levels.size), levels.real, levels.imag, levels.imag != 0.0, duplicate
 
 
-def _extremal(config: RunConfig):
-    xs = config.grid().points()
+def _extremal(config: RunConfig, xs):
     values = painleve.extremal_state_grid(config.params(), config.family, xs)
     return xs, values.real, values.imag
 
 
-# command -> (header, columns over the grid as 1-d arrays).  The functions call
-# the layers through their module attributes, so wrappers installed there
-# (bench/spans.py) see every call.
+# command -> (header, columns at a block of positions as 1-d arrays).  The
+# functions call the layers through their module attributes, so wrappers
+# installed there (bench/spans.py) see every call.
 _COMMANDS = {
     "potential": (("x", "re", "im", "re_v", "im_v"), _potential),
     "piv": (("x", "re", "im", "re_residual", "im_residual"), _piv),
@@ -100,34 +102,76 @@ _COMMANDS = {
     "extremal": (("x", "re", "im"), _extremal),
 }
 _HEADERS = {name: header for name, (header, _) in _COMMANDS.items()}
-_BLOCK = 65536  # rows per %-template
+_BLOCK = 8192  # grid points computed, and rows formatted, per block
 _FLOAT_SPEC = {"csv": "%.17g", "json": "%r"}
 
 
-def _write(config: RunConfig, header, columns) -> None:
-    """Write the columns as CSV (floats at .17g) or as the text of
-    ``json.dumps({"config": ..., "rows": [...]}, indent=2)``, formatting
-    _BLOCK rows per %-template; booleans read true/false in both."""
-    columns = [np.where(c, "true", "false") if c.dtype == bool else c for c in columns]
+def _blocks(config: RunConfig, columns):
+    """The command's columns block by block, each block's rows with a
+    non-finite float dropped; ``spectrum`` is one block."""
+    if config.command == "spectrum":
+        positions = [None]
+    else:
+        grid = config.grid()
+        n = grid.n_points
+        # The same doubles as Grid.points(), _BLOCK at a time.
+        positions = (
+            grid.xmin + grid.step * np.arange(start, min(start + _BLOCK, n))
+            for start in range(0, n, _BLOCK)
+        )
+    for xs in positions:
+        block = columns(config, xs)
+        finite = np.logical_and.reduce([np.isfinite(c) for c in block if c.dtype.kind == "f"])
+        yield [c[finite] for c in block]
+
+
+def _template(config: RunConfig, header, columns):
+    """(head, row, separator, tail) of the text; ``row`` is a %-template for
+    one row of ``columns``."""
     specs = [{"U": "%s", "i": "%d"}.get(c.dtype.kind, _FLOAT_SPEC[config.format]) for c in columns]
     if config.format == "csv":
-        head, row, sep, tail = ",".join(header) + "\n", ",".join(specs), "\n", "\n"
-    else:
-        text = json.dumps({"config": config.to_dict(), "rows": []}, indent=2)
-        before, _, after = text.rpartition("[]")
-        items = ",\n".join(f"      {json.dumps(k)}: {spec}" for k, spec in zip(header, specs))
-        head, row, sep, tail = before + "[\n", f"    {{\n{items}\n    }}", ",\n", f"\n  ]{after}\n"
-    n = columns[0].size
-    cells = np.empty((min(n, _BLOCK), len(columns)), dtype=object)
-    with open(config.output_path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        for start in range(0, n, _BLOCK):
-            block = cells[: min(n - start, _BLOCK)]
-            for i, column in enumerate(columns):
-                block[:, i] = column[start : start + _BLOCK]
-            values = tuple(block.ravel().tolist())
-            fh.write((sep if start else "") + sep.join([row] * len(block)) % values)
-        fh.write(tail)
+        return ",".join(header) + "\n", ",".join(specs), "\n", "\n"
+    text = json.dumps({"config": config.to_dict(), "rows": []}, indent=2)
+    before, _, after = text.rpartition("[]")
+    items = ",\n".join(f"      {json.dumps(k)}: {spec}" for k, spec in zip(header, specs))
+    return before + "[\n", f"    {{\n{items}\n    }}", ",\n", f"\n  ]{after}\n"
+
+
+def _write(config: RunConfig, header, blocks) -> bool:
+    """Write the blocks of columns as CSV (floats at .17g) or as the text of
+    ``json.dumps({"config": ..., "rows": [...]}, indent=2)``, one %-template
+    per block; booleans read true/false in both.  The text goes to a
+    temporary file beside ``--output``, which it replaces once every block
+    is written.  On an error, or when no block kept a row (returns False),
+    ``--output`` is left as it was."""
+    path = config.output_path
+    tmp = f"{path}.{os.getpid()}.tmp"
+    rows = 0
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for columns in blocks:
+                n = columns[0].size
+                if not n:
+                    continue
+                columns = [np.where(c, "true", "false") if c.dtype == bool else c for c in columns]
+                if not rows:
+                    head, row, sep, tail = _template(config, header, columns)
+                    fh.write(head)
+                else:
+                    fh.write(sep)
+                cells = np.empty((n, len(columns)), dtype=object)
+                for i, column in enumerate(columns):
+                    cells[:, i] = column
+                fh.write(sep.join([row] * n) % tuple(cells.ravel().tolist()))
+                rows += n
+            if rows:
+                fh.write(tail)
+        if rows:
+            os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+    return rows > 0
 
 
 def _params_label(params: TransformParams) -> str:
@@ -204,13 +248,9 @@ def run(config: RunConfig, stream=None) -> int:
             print(f"unknown format {config.format!r}", file=sys.stderr)
             return 2
         header, columns = _COMMANDS[config.command]
-        columns = columns(config)
-        floats = [c for c in columns if c.dtype.kind == "f"]
-        finite = np.logical_and.reduce([np.isfinite(c) for c in floats])
-        if not finite.any():
+        if not _write(config, header, _blocks(config, columns)):
             print("no non-singular points on the grid", file=sys.stderr)
             return 3
-        _write(config, header, [c[finite] for c in columns])
         return 0
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -25,6 +25,12 @@ def _nonpositive_integer(w) -> bool:
     return bool(np.any((w.imag == 0.0) & (w.real <= 0.0) & (w.real == np.round(w.real))))
 
 
+def _finite(what: str, *values) -> None:
+    """NoConvergence unless every value is finite."""
+    if not np.isfinite(np.array(values, dtype=complex)).all():
+        raise NoConvergence(f"{what} input is not finite")
+
+
 def _double(value, what: str) -> complex:
     """``value`` as a complex double; NoConvergence when it is nonzero and
     outside the normal double range (M past real z ~ 709, Gamma past |z| ~ 171)."""
@@ -35,8 +41,11 @@ def _double(value, what: str) -> complex:
 
 
 def gamma(z) -> complex:
-    """Gamma for complex argument: ``mpmath.gamma`` rounded to double."""
+    """Gamma for complex argument: ``mpmath.gamma`` rounded to double.
+    Raises PoleArgument at a pole, and NoConvergence for non-finite input or
+    a value past the double range."""
     z = complex(z)
+    _finite("gamma", z)
     if _nonpositive_integer(z):
         raise PoleArgument(f"gamma pole at z={z}")
     import mpmath
@@ -54,8 +63,6 @@ def kummer_m(a, b, z):
     z = np.broadcast_to(z, np.broadcast_shapes(a.shape, b.shape, z.shape))
 
     def values(z):
-        if not all(np.isfinite(v).all() for v in (a, b, z)):
-            raise NoConvergence("1F1 input is not finite")
         out = np.empty(z.shape, dtype=complex)
         for i, (ai, bi, zi) in enumerate(np.broadcast(a, b, z)):
             out.flat[i] = _double(kummer_oracle(ai, bi, zi, _DOUBLE_DIGITS), f"1F1 at z={zi}")
@@ -81,7 +88,9 @@ def kummer_m_derivative(a, b, z, order: int = 1):
 def kummer_oracle(a, b, z, decimal_digits: int = 30):
     """1F1 from ``mpmath.hyp1f1`` at ``decimal_digits`` + 10 working digits, as
     an mpmath number (``complex()`` gives the double view).  An exact zero
-    comes back as 0; a series mpmath cannot converge raises NoConvergence."""
+    comes back as 0; non-finite input or a series mpmath cannot converge
+    raises NoConvergence."""
+    _finite("1F1", a, b, z)
     if not 0 < decimal_digits <= 50:
         raise ValueError("decimal_digits must lie in (0, 50]")
     if _nonpositive_integer(b):

@@ -1,9 +1,17 @@
+import os
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 
 from susypiv import Grid
 from susypiv.verify import BENCHMARK_PARAMS
+
+# Interpreters the tests start import susypiv from this checkout too, as the
+# tests do through pytest's ``pythonpath`` setting.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def _param_id(params):

@@ -388,7 +388,7 @@ def test_column_writer_matches_the_per_row_writer(monkeypatch, tmp_path, set_id,
     # 201 grid points (200 rows where a row is dropped) and 12 spectrum rows:
     # blocks of 7 end mid-table, blocks of 67 split the full grid evenly, and
     # the default block holds everything.
-    for block in (7, 67, cli._BLOCK):
+    for block in (1, 7, 67, cli._BLOCK):
         monkeypatch.setattr(cli, "_BLOCK", block)
         assert run(config) == 0
         assert out.read_bytes() == want, (block, set_id, command, family, fmt)
@@ -401,6 +401,63 @@ def test_no_row_left_writes_no_file(monkeypatch, tmp_path):
     monkeypatch.setattr(cli.susy, "partner_potential", lambda params, xs: np.full(xs.shape, np.nan + 0j))
     assert run(RunConfig(command="potential", output_path=str(out))) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failure_in_a_later_block_leaves_the_output_alone(monkeypatch, tmp_path, capsys, existing):
+    # For eps = -1+i the Taylor chain leaves the double range near x = 36.6:
+    # the ninth of ten 500-point blocks on [-5, 40], after eight were written.
+    out = tmp_path / "pot.csv"
+    if existing:
+        out.write_bytes(b"an earlier run\n")
+    computed = []
+    partner_potential = cli.susy.partner_potential
+
+    def counted(params, xs):
+        values = partner_potential(params, xs)
+        computed.append(xs.size)
+        return values
+
+    monkeypatch.setattr(cli.susy, "partner_potential", counted)
+    monkeypatch.setattr(cli, "_BLOCK", 500)
+    config = RunConfig(
+        command="potential", epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0,
+        xmin=-5.0, xmax=40.0, output_path=str(out),
+    )
+    assert run(config) == 2
+    assert computed == [500] * 8
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "overflowed" in lines[0], lines
+    assert list(tmp_path.iterdir()) == ([out] if existing else [])  # no temporary file left
+    if existing:
+        assert out.read_bytes() == b"an earlier run\n"
+
+
+def test_peak_memory_does_not_grow_with_the_grid(tmp_path):
+    # A warm piv JSON run holds one block of columns and text at a time:
+    # the tracemalloc peak is about 5 MiB at 1e5 points and barely moves
+    # when the grid doubles.  Computing every column over the whole grid
+    # first peaked at 43 MiB here, and at 31 MiB on half the points.
+    import tracemalloc
+
+    def config(step):
+        return RunConfig(
+            command="piv", family=1, epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0,
+            step=step, output_path=str(tmp_path / "g.json"), format="json",
+        )
+
+    def peak(step):
+        tracemalloc.start()
+        try:
+            assert run(config(step)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert run(config(0.01)) == 0  # warm: the seed chain of this set on [-5, 5]
+    half, full = peak(2e-4), peak(1e-4)
+    assert full < 8 * 2**20, full
+    assert full < 1.25 * half, (half, full)
 
 
 @pytest.mark.parametrize("step", ["nan", "inf"])

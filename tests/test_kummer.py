@@ -225,6 +225,21 @@ class TestGamma:
             real_case_lambda(1.0, -800.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "fn,position",
+    [(gamma, 0)] + [(fn, k) for fn in (kummer_oracle, kummer_m) for k in range(3)],
+    ids=["gamma-z", "oracle-a", "oracle-b", "oracle-z", "m-a", "m-b", "m-z"],
+)
+def test_non_finite_input_raises(fn, position, value):
+    # gamma(nan) and gamma(inf) said "overflowed the double range", and
+    # kummer_oracle(0.25, 0.5, inf) returned mpc(nan, nan).
+    args = [0.25, 0.5, 1.0][: 1 if fn is gamma else 3]
+    args[position] = value
+    with pytest.raises(NoConvergence, match="input is not finite"):
+        fn(*args)
+
+
 def test_importing_the_cli_does_not_load_mpmath():
     # mpmath is imported on first use of the 1F1 and Gamma functions; loading
     # it with the package would add about 40 ms to every CLI start.
