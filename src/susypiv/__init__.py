@@ -8,6 +8,7 @@ from .errors import (
     BadFamily,
     DegreeTooLarge,
     EvaluationFailed,
+    LevelAnnihilated,
     NoConvergence,
     NotNormalizable,
     PoleArgument,
@@ -54,6 +55,7 @@ from .susy import (
     new_state,
     normalize,
     partner_eigenfunction,
+    level_annihilated,
     partner_potential,
     spectrum,
     spectrum_degenerate,

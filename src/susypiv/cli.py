@@ -5,12 +5,14 @@ suites.
 A data command is one row of ``_COMMANDS``: its header and a function that
 returns its columns at a block of grid positions as 1-d arrays.  Each block
 of ``_BLOCK`` points is computed, stripped of its rows with a non-finite
-float, and formatted straight to text by ``_write`` in turn, so memory does
-not grow with the grid.  The text goes to a temporary file that replaces
-``--output`` only when the command succeeds.  Complex columns are serialized
-as separate real/imaginary fields so the output plots directly.  Exit status:
-0 ok, 1 verification failure, 2 invalid configuration, 3 singular-point
-saturation.
+float, and turned into bytes by ``text.rows`` in turn, so memory does not
+grow with the grid.  ``text.rows`` formats the floats in numpy to the exact
+text of ``%.17g`` (CSV) or ``repr`` (JSON), with CPython's formatter only
+for the few values it cannot certify.  The bytes go to a temporary file
+that replaces ``--output`` only when the command succeeds.  Complex columns
+are serialized as separate real/imaginary fields so the output plots
+directly.  Exit status: 0 ok, 1 verification failure, 2 invalid
+configuration, 3 singular-point saturation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import painleve, susy, verify
-from .errors import AllPointsExcluded, SusypivError
+from .errors import AllPointsExcluded, LevelAnnihilated, SusypivError
 from .grid import Grid
 from .seed import TransformParams
 
@@ -103,7 +105,6 @@ _COMMANDS = {
 }
 _HEADERS = {name: header for name, (header, _) in _COMMANDS.items()}
 _BLOCK = 8192  # grid points computed, and rows formatted, per block
-_FLOAT_SPEC = {"csv": "%.17g", "json": "%r"}
 
 
 def _blocks(config: RunConfig, columns):
@@ -125,47 +126,44 @@ def _blocks(config: RunConfig, columns):
         yield [c[finite] for c in block]
 
 
-def _template(config: RunConfig, header, columns):
-    """(head, row, separator, tail) of the text; ``row`` is a %-template for
-    one row of ``columns``."""
-    specs = [{"U": "%s", "i": "%d"}.get(c.dtype.kind, _FLOAT_SPEC[config.format]) for c in columns]
+def _layout(config: RunConfig, header):
+    """(head, pieces, sep, tail) of the text: ``text.rows`` writes each row as
+    ``pieces`` with the cells between them, and ``sep`` between rows."""
     if config.format == "csv":
-        return ",".join(header) + "\n", ",".join(specs), "\n", "\n"
-    text = json.dumps({"config": config.to_dict(), "rows": []}, indent=2)
-    before, _, after = text.rpartition("[]")
-    items = ",\n".join(f"      {json.dumps(k)}: {spec}" for k, spec in zip(header, specs))
-    return before + "[\n", f"    {{\n{items}\n    }}", ",\n", f"\n  ]{after}\n"
+        return ",".join(header) + "\n", [""] + [","] * (len(header) - 1) + [""], "\n", "\n"
+    doc = json.dumps({"config": config.to_dict(), "rows": []}, indent=2)
+    before, _, after = doc.rpartition("[]")
+    keys = [f"      {json.dumps(k)}: " for k in header]
+    pieces = ["    {\n" + keys[0], *(",\n" + k for k in keys[1:]), "\n    }"]
+    return before + "[\n", pieces, ",\n", f"\n  ]{after}\n"
 
 
 def _write(config: RunConfig, header, blocks) -> bool:
     """Write the blocks of columns as CSV (floats at .17g) or as the text of
-    ``json.dumps({"config": ..., "rows": [...]}, indent=2)``, one %-template
-    per block; booleans read true/false in both.  The text goes to a
-    temporary file beside ``--output``, which it replaces once every block
-    is written.  On an error, or when no block kept a row (returns False),
-    ``--output`` is left as it was."""
+    ``json.dumps({"config": ..., "rows": [...]}, indent=2)``, formatted by
+    ``text.rows`` a block at a time; booleans read true/false in both.  The
+    text goes to a temporary file beside ``--output``, which it replaces
+    once every block is written.  On an error, or when no block kept a row
+    (returns False), ``--output`` is left as it was."""
+    # Imported here, not with the CLI: with no bytecode cache, compiling it
+    # would lengthen every start, verify's included.
+    from . import text
+
     path = config.output_path
     tmp = f"{path}.{os.getpid()}.tmp"
+    head, pieces, sep, tail = _layout(config, header)
     rows = 0
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             for columns in blocks:
                 n = columns[0].size
                 if not n:
                     continue
-                columns = [np.where(c, "true", "false") if c.dtype == bool else c for c in columns]
-                if not rows:
-                    head, row, sep, tail = _template(config, header, columns)
-                    fh.write(head)
-                else:
-                    fh.write(sep)
-                cells = np.empty((n, len(columns)), dtype=object)
-                for i, column in enumerate(columns):
-                    cells[:, i] = column
-                fh.write(sep.join([row] * n) % tuple(cells.ravel().tolist()))
+                fh.write((sep if rows else head).encode())
+                fh.writelines(text.rows(columns, pieces, sep, shortest=config.format == "json"))
                 rows += n
             if rows:
-                fh.write(tail)
+                fh.write(tail.encode())
         if rows:
             os.replace(tmp, path)
     finally:
@@ -194,6 +192,11 @@ def _run_verify(config: RunConfig, stream) -> int:
                 saturated += 1
                 print(f"{label}  {kind_label:<14} SATURATED (all points singular)", file=stream)
                 entries.append({"params": label, "kind": kind_label, "saturated": True})
+                continue
+            except LevelAnnihilated:
+                # Not a check: the state is zero (a degenerate seed).
+                print(f"{label}  {kind_label:<14} ANNIHILATED (level vanishes identically)", file=stream)
+                entries.append({"params": label, "kind": kind_label, "annihilated": True})
                 continue
             limit = verify.threshold_for(report.kind)
             ok = report.max_relative <= limit

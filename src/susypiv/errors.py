@@ -40,3 +40,7 @@ class EvaluationFailed(SusypivError):
 
 class AllPointsExcluded(SusypivError):
     """Every grid point fell inside a singular-exclusion region."""
+
+
+class LevelAnnihilated(SusypivError):
+    """The transformed state of an oscillator level vanishes identically."""

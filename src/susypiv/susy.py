@@ -48,6 +48,20 @@ def partner_eigenfunction(params: TransformParams, n: int, x):
     return _on_seed(params, x, lambda xs, u, beta, _: -d_psi(n, xs) + beta * psi(n, xs))
 
 
+def level_annihilated(params: TransformParams, n: int) -> bool:
+    """True when the image of level n vanishes identically.
+
+    -psi_n' + beta psi_n = -W(u, psi_n)/u.  At eps = 2n+1, u and psi_n solve
+    the same equation, so the Wronskian is the constant
+    psi_n'(0) - (lam + i kappa) psi_n(0) (u(0) = 1): zero exactly when u is
+    proportional to psi_n (n even, lam = kappa = 0).
+    """
+    if params.epsilon != oscillator.energy(n):
+        return False
+    psi, d_psi = oscillator.eigenfunction(n, 0.0), oscillator.eigenfunction_derivative(n, 0.0)
+    return d_psi - params.coefficient * psi == 0
+
+
 def new_state(params: TransformParams, x):
     """The eigenstate at the factorization energy: 1/u; only a screened scalar needs u'."""
 

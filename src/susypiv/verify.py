@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import painleve, seed, susy
-from .errors import AllPointsExcluded, EvaluationFailed, SusypivError
+from .errors import AllPointsExcluded, EvaluationFailed, LevelAnnihilated, SusypivError
 from .grid import Grid, singular
 from .seed import TransformParams
 
@@ -195,6 +195,9 @@ def _state_rel(params, xs, h, state, energy):
 def _eigen_rel(params, xs, h, n):
     if n is None or not 0 <= n <= 10:
         raise ValueError("eigen residual requires 0 <= n <= 10")
+    if susy.level_annihilated(params, n):
+        # Any residual would be relative to a state at rounding level.
+        raise LevelAnnihilated(f"eigen({n}): -psi_n' + beta psi_n vanishes identically")
     state = lambda t: susy.partner_eigenfunction(params, n, t)
     return _state_rel(params, xs, h, state, float(2 * n + 1))
 
@@ -278,9 +281,11 @@ def residual_report(
 
     Points where a construction denominator falls below 1e-6 of its grid
     median, or is singular by ``grid.singular``, are excluded and reported,
-    not failed.  Raises ValueError for an unknown kind, for an ``h`` on a
-    kind without a stencil or not positive and finite, and for an ``n`` on
-    any kind but eigen, which requires 0 <= n <= 10.
+    not failed.  Raises LevelAnnihilated for an eigen level whose transformed
+    state vanishes identically (``susy.level_annihilated``), and ValueError
+    for an unknown kind, for an ``h`` on a kind without a stencil or not
+    positive and finite, and for an ``n`` on any kind but eigen, which
+    requires 0 <= n <= 10.
     """
     row = KINDS.get(kind)
     if row is None:

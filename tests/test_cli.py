@@ -190,6 +190,34 @@ def test_saturated_eigen_reports_keep_their_level(monkeypatch, tmp_path):
     assert [e["kind"] for e in entries if e.get("saturated")] == saturated
 
 
+def test_annihilated_eigen_level_is_reported_not_failed(tmp_path):
+    # eps = 5 = E_2 with lambda = kappa = 0: u is proportional to psi_2, so
+    # -psi_2' + beta psi_2 vanishes identically.  eigen(2) used to FAIL here
+    # at 7.5e-5, a residual relative to a state at rounding level.
+    out = tmp_path / "report.json"
+    stream = io.StringIO()
+    assert run(RunConfig(command="verify", epsilon_re=5.0, output_path=str(out)), stream) == 0
+    lines = stream.getvalue().splitlines()
+    annihilated = [line for line in lines if "ANNIHILATED" in line]
+    assert [line.split()[3] for line in annihilated] == ["eigen(2)"]
+    assert sum(line.endswith("PASS") for line in lines) == 10
+    assert lines[-1] == "verify: 11 reports, 0 failed, 0 saturated"
+    entries = json.loads(out.read_text())["reports"]
+    assert [e for e in entries if e.get("annihilated")] == [
+        {"params": "eps=5+0i lam=0 kappa=0", "kind": "eigen(2)", "annihilated": True}
+    ]
+
+
+def test_level_energy_off_the_degenerate_seed_is_checked():
+    # eps = 5 with lambda = 1: u is not proportional to psi_2, so eigen(2) is
+    # an ordinary check.
+    stream = io.StringIO()
+    assert run(RunConfig(command="verify", epsilon_re=5.0, lam=1.0), stream) == 0
+    out = stream.getvalue()
+    assert "ANNIHILATED" not in out
+    assert [line for line in out.splitlines() if "eigen(2)" in line][0].endswith("PASS")
+
+
 # (Re eps, Im eps, lambda, kappa) of +-7 verify runs: 21+0.5i, then the sets
 # the wide_domain benchmark draws for its seeds 1, 8, 13 and 37.
 WIDE_VERIFY_SETS = [

@@ -7,6 +7,7 @@ from susypiv import (
     Grid,
     NotNormalizable,
     TransformParams,
+    level_annihilated,
     new_state,
     normalize,
     partner_eigenfunction,
@@ -72,6 +73,21 @@ class TestPartnerEigenfunction:
         for n in range(6):
             report = residual_report("eigen", SET_1, default_grid, n=n)
             assert report.max_relative <= 1e-6, n
+
+    def test_annihilated_only_where_u_is_proportional_to_the_level(self):
+        # At eps = 2n+1 the image is -W(u, psi_n)/u with a constant Wronskian:
+        # zero for an even level with lambda = kappa = 0, never for an odd one.
+        annihilated = [
+            (eps, n, lam)
+            for eps in (1.0, 3.0, 5.0, 5.0 + 1e-12j)
+            for lam in (0.0, 1.0)
+            for n in range(4)
+            if level_annihilated(TransformParams(epsilon=eps, lam=lam), n)
+        ]
+        assert annihilated == [(1.0, 0, 0.0), (5.0, 2, 0.0)]
+        xs = np.linspace(-4.0, 4.0, 81)
+        state = partner_eigenfunction(TransformParams(epsilon=5.0), 2, xs)
+        assert np.max(np.abs(state)) <= 1e-13
 
 
 class TestNewState:

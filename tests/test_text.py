@@ -1,0 +1,131 @@
+"""The numpy float formatter against CPython: every cell must be the bytes of
+``'%.17g' % v`` or ``repr(v)``."""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from susypiv import text
+
+STYLES = {"%.17g": False, "repr": True}
+
+
+def _reference(values, shortest):
+    fmt = repr if shortest else (lambda v: "%.17g" % v)
+    return "\n".join(fmt(float(v)) for v in values).encode()
+
+
+def _formatted(values, shortest):
+    return b"".join(text.rows([np.asarray(values, dtype=float)], ["", ""], "\n", shortest))
+
+
+def _assert_matches(values, shortest):
+    got = _formatted(values, shortest).split(b"\n")
+    want = _reference(values, shortest).split(b"\n")
+    bad = [(float(v), w, g) for v, w, g in zip(values, want, got) if w != g]
+    assert not bad and len(got) == len(want), bad[:5]
+
+
+def _random_doubles(rng, n):
+    # Random 64-bit patterns: every exponent, subnormals included, both signs.
+    values = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)]
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_random_bit_patterns(style):
+    _assert_matches(_random_doubles(np.random.default_rng(1), 30000), STYLES[style])
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_grid_like_and_rounded_values(style):
+    rng = np.random.default_rng(2)
+    k = np.arange(0, 100001, 10)  # every tenth point of the benchmark grid
+    decades = 10.0 ** rng.integers(-20, 21, 10000)
+    values = np.concatenate(
+        [
+            -5.0 + 1e-4 * k,
+            (-5.0 + 1e-4 * k) ** 2,
+            -12.0 + 0.01 * np.arange(2401),
+            rng.standard_normal(10000) * decades,
+            np.round(rng.standard_normal(10000) * 1e4) / 10.0 ** rng.integers(0, 8, 10000),
+            rng.integers(-(10**6), 10**6, 5000).astype(float),
+        ]
+    )
+    _assert_matches(values, STYLES[style])
+
+
+EDGES = {
+    "zeros": [0.0, -0.0],
+    "fixed/exponent switch near 1e-4": [1e-4, 9.999999999999999e-05, 1e-5, 1.0000000000000001e-05],
+    "near 1e15, 1e16, 1e17": [
+        1e15, 999999999999999.9, 1e15 + 0.125, 1e16, 9999999999999998.0, 1e16 + 2.0,
+        1e17, 99999999999999984.0, 1.0000000000000002e17,
+    ],
+    "double range": [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308],
+    "17th digit an exact tie": [1e15 + 0.25, 1e15 + 0.75, 123456789012345.625, 2.0**53 + 2.0],
+    "interval end on a short decimal": [2.0**54 + 4.0, 2.0**54 + 8.0, 1e23, 2.0**60 + 256.0],
+    "powers of two": list(2.0 ** np.arange(-1074, 1024, 7)) + [0.5, 1.0, 2.0, 1024.0],
+    "powers of ten": list(10.0 ** np.arange(-300, 301)),
+    "short decimals": [0.1, 0.2, 0.3, 1 / 3, 2 / 3, 1e22, 1e23, 5e-5, 123.456, 1.5e300, 1e-280],
+}
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("case", EDGES)
+def test_named_edge_cases(case, style):
+    values = np.array(EDGES[case])
+    _assert_matches(np.concatenate([values, -values]), STYLES[style])
+
+
+@pytest.mark.parametrize(
+    "value, style",
+    [
+        (1e15 + 0.75, "%.17g"),
+        (2.0**54 + 4.0, "repr"),
+        (1e23, "repr"),
+        (5e-324, "%.17g"),
+        (1e300, "repr"),
+    ],
+    ids=["tie", "end excluded", "end included", "subnormal", "outside 1e+-280"],
+)
+def test_uncertified_cells_take_the_cpython_text(value, style):
+    # The numpy digits are not certified here: an exact tie at the 17th
+    # digit, a rounding interval ending on a shorter decimal (1.801439850948199e16
+    # is its end, and reads back as 2**54 + 4 only if the mantissa is even; it
+    # is odd there, and even for 1e23), a value outside the table.  The
+    # cell is CPython's.
+    v = np.array([value])
+    shortest = np.array([STYLES[style]])
+    assert not text._decimal(v, shortest)[2][0]
+    want = repr(value) if STYLES[style] else "%.17g" % value
+    assert _formatted(v, STYLES[style]) == want.encode()
+
+
+def test_rows_between_constant_text_across_chunks(monkeypatch):
+    # Small chunks end rows mid-table; the text between cells and rows and a
+    # boolean and an integer column come out as the per-row join would.
+    monkeypatch.setattr(text, "_CHUNK", 7)
+    rng = np.random.default_rng(3)
+    floats = rng.standard_normal(10)
+    ints = np.arange(10) * 37
+    flags = floats > 0
+    pieces = ["  {x: ", ", n: ", ", f: ", "}"]
+    got = b"".join(text.rows([floats, ints, flags], pieces, ";\n", shortest=True))
+    want = ";\n".join(
+        f"  {{x: {float(f)!r}, n: {i}, f: {'true' if b else 'false'}}}" for f, i, b in zip(floats, ints, flags)
+    )
+    assert got == want.encode()
+
+
+def test_importing_the_cli_leaves_the_tables_unbuilt():
+    # The module is loaded by the first data command and its tables (a few
+    # ms) are built on the first formatted chunk, not when the CLI starts.
+    code = (
+        "import sys, susypiv.cli; assert 'susypiv.text' not in sys.modules; "
+        "from susypiv import text; assert text._tables.cache_info().currsize == 0"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

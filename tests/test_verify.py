@@ -9,6 +9,7 @@ from susypiv import (
     AllPointsExcluded,
     EvaluationFailed,
     Grid,
+    LevelAnnihilated,
     SingularPoint,
     TransformParams,
     fd_derivative,
@@ -310,6 +311,22 @@ def test_annihilation_fails_when_u_is_wrong(
     _mutate_seed(monkeypatch, u_factor, up_factor)
     report = residual_report("annihilation", params, default_grid)
     assert report.max_relative > _MUTATION_MARGIN * THRESHOLDS["annihilation"]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_eigen_fails_when_beta_is_wrong_at_a_level_energy(lam, default_grid, monkeypatch):
+    # eps = 5 = E_2.  With lambda = 0, u is proportional to psi_2 and level 2
+    # is annihilated, not checked; every level that is checked must still
+    # fail on a 1e-5 relative error in beta.
+    params = TransformParams(epsilon=5.0, lam=lam)
+    _perturb_beta(monkeypatch, 1.0 + 1e-5)
+    for n in range(4):
+        if lam == 0.0 and n == 2:
+            with pytest.raises(LevelAnnihilated, match=r"eigen\(2\)"):
+                residual_report("eigen", params, default_grid, n=n)
+            continue
+        report = residual_report("eigen", params, default_grid, n=n)
+        assert report.max_relative > _MUTATION_MARGIN * THRESHOLDS["eigen"], (n, report)
 
 
 def test_threshold_lookup():
