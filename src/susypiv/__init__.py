@@ -30,17 +30,13 @@ from .oscillator import (
 )
 from .painleve import (
     FAMILIES,
-    ChainTriple,
-    PivPointEval,
     b_of_a,
-    chain_functions,
     extremal_energy,
     extremal_state_grid,
     family_grid_eval,
     piv_parameters,
-    piv_residual,
+    piv_residual_sum,
     piv_residual_terms,
-    piv_solution,
 )
 from .seed import (
     SeedEvaluation,

@@ -3,15 +3,16 @@ IV solution families, spectra, extremal states, and the residual verification
 suites.
 
 A data command is one row of ``_COMMANDS``: its header and a function that
-returns its columns at a block of grid positions as 1-d arrays.  Each block
-of ``_BLOCK`` points is computed, stripped of its rows with a non-finite
-float, and turned into bytes by ``text.rows`` in turn, so memory does not
-grow with the grid.  ``text.rows`` formats the floats in numpy to the exact
-text of ``%.17g`` (CSV) or ``repr`` (JSON), with CPython's formatter only
-for the few values it cannot certify.  The bytes go to a temporary file
-that replaces ``--output`` only when the command succeeds.  Complex columns
-are serialized as separate real/imaginary fields so the output plots
-directly.  Exit status: 0 ok, 1 verification failure, 2 invalid
+returns its columns at a block of grid positions as 1-d arrays (``piv``
+makes a row non-finite where a family denominator is ``grid.singular``).
+Each block of ``_BLOCK`` points is computed, stripped of its rows with a
+non-finite float, and turned into bytes by ``text.rows`` in turn, so memory
+does not grow with the grid.  ``text.rows`` formats the floats in numpy to
+the exact text of ``%.17g`` (CSV) or ``repr`` (JSON), with CPython's
+formatter only for the few values it cannot certify.  The bytes go to a
+temporary file that replaces ``--output`` only when the command succeeds.
+Complex columns are serialized as separate real/imaginary fields so the
+output plots directly.  Exit status: 0 ok, 1 verification failure, 2 invalid
 configuration, 3 singular-point saturation.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import painleve, susy, verify
 from .errors import AllPointsExcluded, LevelAnnihilated, SusypivError
-from .grid import Grid
+from .grid import Grid, singular
 from .seed import TransformParams
 
 
@@ -75,10 +76,14 @@ def _potential(config: RunConfig, xs):
 
 
 def _piv(config: RunConfig, xs):
-    g, gp, gpp, _ = painleve.family_grid_eval(config.params(), config.family, xs)
+    g, gp, gpp, denominators = painleve.family_grid_eval(config.params(), config.family, xs)
     a, b = painleve.piv_parameters(config.params(), config.family)
     with np.errstate(all="ignore"):
         resid = painleve.piv_residual_sum(painleve.piv_residual_terms(g, gp, gpp, xs, a, b))
+    # Where a denominator is singular g is rounding noise: its row goes
+    # non-finite, and is dropped with the others.
+    for mag, scale in denominators.values():
+        resid[singular(mag, scale)] = np.nan
     return xs, g.real, g.imag, resid.real, resid.imag
 
 

@@ -11,8 +11,8 @@ closed forms in terms of the seed log-derivative:
 
 so g, g', g'' never need numerical differentiation: h' = (V~ - E) - h^2 and
 h'' = V~' - 2 h h' close the chain.  These formulas live in
-``family_grid_eval`` alone: ``piv_solution`` is its one-point view, screened
-by the singular-point rule of ``grid.screen``.
+``family_grid_eval`` alone, which takes arrays of positions and returns the
+formulas' denominators for the singular-point rule of ``grid.singular``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from . import seed
 from .errors import BadFamily
-from .grid import screen
 from .seed import TransformParams
 
 
@@ -54,30 +53,6 @@ _FAMILY_TABLE = {
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
-@dataclass(frozen=True)
-class ChainTriple:
-    """Superpotentials of the closed three-step chain at one point."""
-
-    f1: complex
-    f2: complex
-    f3: complex
-
-    def total(self) -> complex:
-        # f1 and f3 are exact negatives; summing them first keeps the
-        # identity total == x bit-exact.
-        return (self.f1 + self.f3) + self.f2
-
-
-@dataclass(frozen=True)
-class PivPointEval:
-    """g and its first two derivatives at one point."""
-
-    g: complex
-    g_prime: complex
-    g_double_prime: complex
-    x: float
-
-
 def _family(family) -> _Family:
     if family not in FAMILIES:
         raise BadFamily(f"family must be one of {FAMILIES}, got {family!r}")
@@ -99,25 +74,10 @@ def b_of_a(family: int, a) -> complex:
     return _family(family).b_of_a(complex(a))
 
 
-def piv_solution(params: TransformParams, family: int, x) -> PivPointEval:
-    """g = -x - (ln psi)' with derivatives closed through the eigen relation.
-
-    One point of ``family_grid_eval``, so scalar values agree bit-for-bit
-    with grid sweeps; raises SingularPoint where one of its denominators is
-    singular.
-    """
-    xf = float(x)
-    g, g_prime, g_pp, denominators = family_grid_eval(params, family, np.asarray([xf]))
-    screen(denominators, xf)
-    return PivPointEval(
-        g=complex(g[0]), g_prime=complex(g_prime[0]), g_double_prime=complex(g_pp[0]), x=xf
-    )
-
-
 def piv_residual_terms(g, g_prime, g_double_prime, x, a, b):
-    """The six signed terms of the equation; their sum is the residual.
-
-    Works elementwise for ndarray inputs.
+    """The six signed terms of the family's Painleve IV equation
+    g g'' = (g')^2/2 + 3 g^4/2 + 4 g^3 x + 2 g^2 (x^2 - a) + b; their sum
+    (``piv_residual_sum``) is its defect.  Works elementwise on ndarrays.
     """
     return (
         g * g_double_prime,
@@ -135,24 +95,12 @@ def piv_residual_sum(terms):
     return sum(terms[1:], start=terms[0])
 
 
-def piv_residual(point: PivPointEval, a, b) -> complex:
-    """Defect of g g'' = (g')^2/2 + 3 g^4/2 + 4 g^3 x + 2 g^2 (x^2 - a) + b."""
-    terms = piv_residual_terms(point.g, point.g_prime, point.g_double_prime, point.x, a, b)
-    return piv_residual_sum(terms)
-
-
-def chain_functions(params: TransformParams, x) -> ChainTriple:
-    """(-beta, x, beta); the member sum telescopes to x exactly."""
-    ev = seed.seed_eval(params, float(x))
-    return ChainTriple(f1=-ev.beta, f2=complex(float(x)), f3=ev.beta)
-
-
 def family_grid_eval(params: TransformParams, family: int, xs):
     """Vectorized (g, g', g'', denominators) over an array of positions.
 
     ``denominators`` maps quantity names to (magnitude, local scale) pairs
-    for the grid exclusion rule and ``grid.screen``; singular entries come
-    back non-finite instead of raising.
+    for the grid exclusion rule and ``grid.singular``; singular entries come
+    back non-finite or as rounding noise, never raising.
     """
     _family(family)
     xs = np.asarray(xs, dtype=float)

@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kummer
-from .errors import NoConvergence
+from .errors import NoConvergence, PoleArgument
 from .grid import Grid, on_points, screen
 
 _ZERO_SCAN_REL = 1e-6
@@ -270,10 +269,7 @@ def seed_eval(params: TransformParams, x) -> SeedEvaluation:
     xf = float(x)
     u, up, beta, beta_prime = seed_eval_grid(params, np.asarray([xf]))
     screen(u_denominator(u, up), xf)
-    u0, up0 = complex(u[0]), complex(up[0])
-    return SeedEvaluation(
-        u=u0, u_prime=up0, beta=complex(beta[0]), beta_prime=complex(beta_prime[0]), x=xf
-    )
+    return SeedEvaluation(*(complex(v[0]) for v in (u, up, beta, beta_prime)), x=xf)
 
 
 def seed_eval_grid(params: TransformParams, xs):
@@ -292,10 +288,21 @@ def seed_eval_grid(params: TransformParams, xs):
 
 def real_case_lambda(nu: float, epsilon: float) -> float:
     """Seed coefficient 2 nu Gamma((3-eps)/4) / Gamma((1-eps)/4) reproducing
-    the real-parameter construction (real eps, kappa = 0)."""
-    g_num = kummer.gamma((3.0 - epsilon) / 4.0)
-    g_den = kummer.gamma((1.0 - epsilon) / 4.0)
-    return 2.0 * nu * (g_num / g_den).real
+    the real-parameter construction (real eps, kappa = 0).  The ratio is one
+    ``mpmath.gammaprod`` at 80 bits plus the exponent of eps, rounded once:
+    0 at eps = 1, 5, 9, ..., finite past the range of each Gamma, and
+    PoleArgument at eps = 3, 7, ...; NoConvergence for a non-finite eps."""
+    epsilon = float(epsilon)
+    if not math.isfinite(epsilon):
+        raise NoConvergence("real_case_lambda: epsilon is not finite")
+    import mpmath
+
+    with mpmath.workprec(80 + max(0, math.frexp(epsilon)[1])):
+        eps = mpmath.mpf(epsilon)
+        ratio = mpmath.gammaprod([(3 - eps) / 4], [(1 - eps) / 4])
+    if mpmath.isinf(ratio):
+        raise PoleArgument(f"Gamma((3-eps)/4) has a pole at eps={epsilon}")
+    return 2.0 * nu * float(ratio)
 
 
 def locate_real_zeros(params: TransformParams, grid: Grid):

@@ -18,11 +18,11 @@ from one 7-offset stencil:
 Each residual kind is one row of ``KINDS``, which ``residual_report``,
 ``threshold_for`` and ``report_plan`` all read.
 
-Every stencil goes through one engine, ``_on_offsets``: it stacks the grid
-shifted by each stencil offset, flattens the stack and evaluates the
-function over it in chunks of at most 4096 points, so a stencil costs one
-seed call per chunk instead of one per offset, and the series work space of
-each call stays bounded.
+Every stencil, the residual kinds' and ``fd_derivative``'s, goes through one
+engine, ``_on_offsets``: it stacks the grid shifted by each stencil offset,
+flattens the stack and evaluates the function over it in chunks of at most
+4096 points, so a stencil costs one seed call per chunk instead of one per
+offset, and the series work space of each call stays bounded.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import painleve, seed, susy
 from .errors import AllPointsExcluded, EvaluationFailed, LevelAnnihilated, SusypivError
-from .grid import Grid, singular
+from .grid import Grid, on_points, singular
 from .seed import TransformParams
 
 EXCLUDE_REL = 1e-6
@@ -104,24 +104,28 @@ def _d3(v, h):
     return (4.0 * fine - coarse) / 3.0
 
 
-def fd_derivative(f, x, order: int = 1, h: float | None = None) -> complex:
-    """Centered difference with one Richardson step (h and h/2); O(h^4)."""
+def fd_derivative(f, x, order: int = 1, h: float | None = None):
+    """Centered difference with one Richardson step (h and h/2), O(h^4), on
+    the engine ``_on_offsets``.  ``f`` maps an ndarray of positions to values;
+    a scalar ``x`` gives a Python complex, the bits of its array element.
+    EvaluationFailed when ``f`` raises a SusypivError or a value is non-finite."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     h = _step(h, _H_ORDER1 if order == 1 else _H_ORDER2)
+    offsets, difference = (_D1_OFFSETS, _d1) if order == 1 else (_D2_OFFSETS, _d2)
 
-    def call(t):
+    def values(xs):
         try:
-            v = complex(f(t))
+            v = _on_offsets(f, xs, [c * h for c in offsets])
         except SusypivError as exc:
-            raise EvaluationFailed(f"stencil point {t} failed: {exc}") from exc
-        if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-            raise EvaluationFailed(f"stencil point {t} is non-finite")
-        return v
+            raise EvaluationFailed(f"a stencil point failed: {exc}") from exc
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            k, i = divmod(int(bad[0]), xs.size)
+            raise EvaluationFailed(f"stencil point {xs.flat[i] + offsets[k] * h} is non-finite")
+        return difference(v, h), None
 
-    if order == 1:
-        return _d1([call(x + c * h) for c in _D1_OFFSETS], h)
-    return _d2([call(x + c * h) for c in _D2_OFFSETS], h)
+    return on_points(values, x)
 
 
 def _on_offsets(fn, xs, offsets):

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susypiv import AllPointsExcluded, cli
+from susypiv import AllPointsExcluded, cli, seed_eval_grid
 from susypiv.cli import RunConfig, run
+from susypiv.grid import singular
 
 from conftest import oracle_seed
 
@@ -76,6 +77,27 @@ class TestPivCommand:
         _, rows = _read_csv(out)
         resid = np.array([[float(row[3]), float(row[4])] for row in rows])
         assert np.max(np.abs(resid)) <= 1e-6
+
+    def test_degenerate_family_writes_nothing(self, tmp_path, capsys):
+        # eps = -1, lam = kappa = 0: beta' - 1 is rounding noise at every
+        # point, so every row of family 1 is singular (verify: SATURATED).
+        out = tmp_path / "g.csv"
+        config = RunConfig(command="piv", epsilon_re=-1.0, family=1, output_path=str(out))
+        assert run(config) == 3
+        assert "no non-singular points on the grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_singular_rows_are_dropped(self, tmp_path):
+        # eps = 1, lam = kappa = 0: u = e^{-x^2/2}, so x + beta, family 2's
+        # denominator, vanishes to rounding level wherever beta is exact.
+        out = tmp_path / "g.csv"
+        config = RunConfig(command="piv", epsilon_re=1.0, family=2, output_path=str(out))
+        assert run(config) == 0
+        _, rows = _read_csv(out)
+        xs = np.array([float(row[0]) for row in rows])
+        _, _, beta, beta_p = seed_eval_grid(config.params(), xs)
+        assert 0 < xs.size < config.grid().n_points
+        assert not bool(np.any(singular(np.abs(xs + beta), 1.0 + np.abs(1.0 + beta_p))))
 
 
 class TestSpectrumCommand:

@@ -5,15 +5,16 @@ import pytest
 
 from susypiv import (
     DegreeTooLarge,
-    SingularPoint,
     TransformParams,
     eigenfunction,
     eigenfunction_derivative,
     energy,
+    family_grid_eval,
     fd_derivative,
-    piv_solution,
     seed_eval,
+    seed_eval_grid,
 )
+from susypiv.grid import singular
 
 PI_QUARTER = math.pi ** -0.25
 
@@ -71,7 +72,7 @@ def test_derivative_ladder_identity():
     xs = np.linspace(-4.0, 4.0, 17)
     for n in (0, 1, 4):
         got = eigenfunction_derivative(n, xs)
-        ref = np.array([fd_derivative(lambda t: eigenfunction(n, t), x, 1, 1e-4) for x in xs])
+        ref = fd_derivative(lambda t: eigenfunction(n, t), xs, 1, 1e-4)
         np.testing.assert_allclose(got, ref.real, rtol=0, atol=1e-8)
 
 
@@ -112,8 +113,8 @@ class TestCreationLogderiv:
         params = TransformParams(epsilon=-1.0 + 1.0j, lam=1.0, kappa=1.0)
 
         def raised(t):
-            ev = seed_eval(params, t)
-            return (t - ev.beta) * ev.u  # a+ u = (x - beta) u
+            u, _, beta, _ = seed_eval_grid(params, t)
+            return (t - beta) * u  # a+ u = (x - beta) u
 
         ref = fd_derivative(raised, 0.0, 1) / raised(0.0)
         ev = seed_eval(params, 0.0)
@@ -124,5 +125,5 @@ class TestCreationLogderiv:
         # eps = 1, lam = kappa = 0: u = e^{-x^2/2}, so the log-derivative -beta
         # of 1/u matches x, and family 2's extremal state (x + beta) e^{-x^2/2}
         # vanishes to rounding level: its denominator x + beta is singular.
-        with pytest.raises(SingularPoint):
-            piv_solution(TransformParams(epsilon=1.0), 2, 1.0)
+        denoms = family_grid_eval(TransformParams(epsilon=1.0), 2, np.array([1.0]))[3]
+        assert bool(singular(*denoms["x_plus_beta"])[0])

@@ -1,25 +1,21 @@
-import cmath
-
 import numpy as np
 import pytest
 
 from susypiv import (
     BadFamily,
-    SingularPoint,
     TransformParams,
     b_of_a,
-    chain_functions,
     extremal_energy,
     extremal_state_grid,
     family_grid_eval,
     fd_derivative,
     piv_parameters,
-    piv_residual,
-    piv_solution,
+    piv_residual_sum,
+    piv_residual_terms,
     residual_report,
-    seed_eval,
     seed_eval_grid,
 )
+from susypiv.grid import singular
 
 SET_1 = TransformParams(epsilon=-1.0 + 1.0j, lam=1.0, kappa=1.0)
 
@@ -39,71 +35,79 @@ class TestExtremalEnergy:
             extremal_energy(SET_1, 4)
 
 
-def _logderiv(params, family, x):
+def _g(params, family, xs):
+    return family_grid_eval(params, family, xs)[0]
+
+
+def _beta(params, xs):
+    return seed_eval_grid(params, xs)[2]
+
+
+def _logderiv(params, family, xs):
     """(ln psi)' of the family's extremal state: -x - g."""
-    return -x - piv_solution(params, family, x).g
+    return -xs - _g(params, family, xs)
+
+
+def _residual(params, family, xs):
+    """g, and the defect of the family's Painleve IV equation, at ``xs``."""
+    g, gp, gpp, _ = family_grid_eval(params, family, xs)
+    a, b = piv_parameters(params, family)
+    return g, piv_residual_sum(piv_residual_terms(g, gp, gpp, xs, a, b))
 
 
 class TestExtremalLogderiv:
     def test_family_three_is_negated_beta(self):
-        assert _logderiv(SET_1, 3, 0.0) == -(1.0 + 1.0j)
+        assert _logderiv(SET_1, 3, np.array([0.0]))[0] == -(1.0 + 1.0j)
         # (ln psi_3)' = -beta exactly, so g = -x - (-beta) = beta - x.
-        for x in (-1.7, 0.9):
-            assert piv_solution(SET_1, 3, x).g == seed_eval(SET_1, x).beta - x
+        xs = np.array([-1.7, 0.9])
+        np.testing.assert_array_equal(_g(SET_1, 3, xs), _beta(SET_1, xs) - xs)
 
     def test_family_two_at_origin(self):
         # (1 + beta')/(x + beta) - x at 0 with beta = 1+i, beta' = 1-3i.
-        got = _logderiv(SET_1, 2, 0.0)
+        got = _logderiv(SET_1, 2, np.array([0.0]))[0]
         assert abs(got - (-0.5 - 2.5j)) <= 1e-14
 
     def test_family_one_at_origin(self):
         # beta + beta''/(beta'-1) with beta''(0) = -8+4i.
-        got = _logderiv(SET_1, 1, 0.0)
+        got = _logderiv(SET_1, 1, np.array([0.0]))[0]
         assert abs(got - (-1.0 - 5.0j) / 3.0) <= 1e-14
 
     @pytest.mark.parametrize("family", (1, 2, 3))
     def test_against_fd_of_state_logarithm(self, family):
-        # Independent route: differentiate the closed-form extremal state.
-        def state(t):
-            ev = seed_eval(SET_1, t)
-            if family == 1:
-                return (ev.beta_prime - 1.0) * ev.u
-            if family == 2:
-                return (t + ev.beta) * cmath.exp(-0.5 * t * t)
-            return 1.0 / ev.u
-
-        for x in (-1.2, 0.0, 0.8, 2.1):
-            ref = fd_derivative(state, x, 1) / state(x)
-            got = _logderiv(SET_1, family, x)
-            assert abs(got - ref) <= 1e-6 * (1.0 + abs(got)), (family, x)
+        # Independent route: differentiate the closed-form extremal state
+        # (pinned to the closed forms by the test at the end of this file).
+        state = lambda t: extremal_state_grid(SET_1, family, t)
+        xs = np.array([-1.2, 0.0, 0.8, 2.1])
+        ref = fd_derivative(state, xs, 1) / state(xs)
+        got = _logderiv(SET_1, family, xs)
+        np.testing.assert_array_less(np.abs(got - ref), 1e-6 * (1.0 + np.abs(got)))
 
     def test_family_one_degenerate_seed_is_singular(self):
         # eps = -1, lam = kappa = 0 gives beta' = 1 identically.
-        with pytest.raises(SingularPoint):
-            piv_solution(TransformParams(epsilon=-1.0), 1, 0.7)
+        _, _, _, denoms = family_grid_eval(TransformParams(epsilon=-1.0), 1, np.array([0.7]))
+        assert bool(singular(*denoms["beta_prime_minus_1"])[0])
 
 
 class TestPivSolution:
     def test_family_three_is_beta_minus_x(self):
-        for x in (-2.0, 0.0, 1.3):
-            ev = seed_eval(SET_1, x)
-            assert piv_solution(SET_1, 3, x).g == ev.beta - x
+        xs = np.array([-2.0, 0.0, 1.3])
+        np.testing.assert_array_equal(_g(SET_1, 3, xs), _beta(SET_1, xs) - xs)
 
     def test_family_two_at_origin(self):
-        assert abs(piv_solution(SET_1, 2, 0.0).g - (0.5 + 2.5j)) <= 1e-14
+        assert abs(_g(SET_1, 2, np.array([0.0]))[0] - (0.5 + 2.5j)) <= 1e-14
 
     def test_family_one_at_origin(self):
-        assert abs(piv_solution(SET_1, 1, 0.0).g - (1.0 + 5.0j) / 3.0) <= 1e-14
+        assert abs(_g(SET_1, 1, np.array([0.0]))[0] - (1.0 + 5.0j) / 3.0) <= 1e-14
 
     @pytest.mark.parametrize("family", (1, 2, 3))
     def test_derivative_closure_against_fd(self, family):
-        for x in (-1.4, 0.3, 1.9):
-            point = piv_solution(SET_1, family, x)
-            g_fn = lambda t: piv_solution(SET_1, family, t).g
-            ref_p = fd_derivative(g_fn, x, 1)
-            ref_pp = fd_derivative(g_fn, x, 2)
-            assert abs(point.g_prime - ref_p) <= 1e-6 * (1.0 + abs(point.g_prime))
-            assert abs(point.g_double_prime - ref_pp) <= 1e-6 * (1.0 + abs(point.g_double_prime))
+        xs = np.array([-1.4, 0.3, 1.9])
+        _, gp, gpp, _ = family_grid_eval(SET_1, family, xs)
+        g_fn = lambda t: _g(SET_1, family, t)
+        ref_p = fd_derivative(g_fn, xs, 1)
+        ref_pp = fd_derivative(g_fn, xs, 2)
+        np.testing.assert_array_less(np.abs(gp - ref_p), 1e-6 * (1.0 + np.abs(gp)))
+        np.testing.assert_array_less(np.abs(gpp - ref_pp), 1e-6 * (1.0 + np.abs(gpp)))
 
 
 class TestPivParameters:
@@ -146,19 +150,15 @@ class TestPivResidual:
         # eps = -1, lam = kappa = 0: beta = x up to rounding, so g3 vanishes
         # and b3 = 0 exactly; the residual collapses to -b = 0.
         params = TransformParams(epsilon=-1.0)
-        a, b = piv_parameters(params, 3)
-        assert b == 0.0
-        for x in (-2.2, 0.5, 3.0):
-            point = piv_solution(params, 3, x)
-            assert abs(point.g) <= 1e-13
-            assert abs(piv_residual(point, a, b)) <= 1e-13
+        assert piv_parameters(params, 3)[1] == 0.0
+        g, resid = _residual(params, 3, np.array([-2.2, 0.5, 3.0]))
+        assert bool(np.all(np.abs(g) <= 1e-13))
+        assert bool(np.all(np.abs(resid) <= 1e-13))
 
     def test_pointwise_residual_family_two(self):
         params = TransformParams(epsilon=4.0 + 0.5j, lam=1.0, kappa=1.0)
-        a, b = piv_parameters(params, 2)
-        point = piv_solution(params, 2, 0.7)
-        rel = abs(piv_residual(point, a, b)) / (1.0 + abs(point.g) ** 4)
-        assert rel <= 1e-8
+        g, resid = _residual(params, 2, np.array([0.7]))
+        assert abs(resid[0]) / (1.0 + abs(g[0]) ** 4) <= 1e-8
 
     def test_grid_residual_small_imaginary_shift(self, default_grid):
         params = TransformParams(epsilon=-1.0 + 1e-2j, lam=1.0, kappa=1.0)
@@ -166,41 +166,22 @@ class TestPivResidual:
         assert report.max_relative <= 1e-8
 
 
-class TestChainFunctions:
-    def test_values_at_origin(self):
-        chain = chain_functions(SET_1, 0.0)
-        assert chain.f1 == -(1.0 + 1.0j)
-        assert chain.f2 == 0.0
-        assert chain.f3 == 1.0 + 1.0j
-        assert chain.total() == 0.0
-
-    def test_sum_is_exact(self):
-        chain = chain_functions(SET_1, 2.5)
-        assert chain.total() == 2.5 + 0.0j
-
-    def test_third_function_reproduces_family_three(self):
-        for x in (-1.1, 0.6):
-            chain = chain_functions(SET_1, x)
-            assert chain.f3 - x == piv_solution(SET_1, 3, x).g
-
-
 def test_pointwise_residual_family_two_on_set_1():
     a, b = piv_parameters(SET_1, 2)
     assert (a, b) == (SET_1.epsilon - 1.0, -2.0)
-    point = piv_solution(SET_1, 2, 0.4)
-    assert abs(piv_residual(point, a, b)) / (1.0 + abs(point.g) ** 4) <= 1e-10
+    g, resid = _residual(SET_1, 2, np.array([0.4]))
+    assert abs(resid[0]) / (1.0 + abs(g[0]) ** 4) <= 1e-10
 
 
 def test_family_grid_eval_matches_scalar(default_grid):
+    # A position evaluated alone gives the bits of its element in a grid call.
     xs = np.array([-2.0, -0.3, 1.6])
     for family in (1, 2, 3):
         g, gp, gpp, denoms = family_grid_eval(SET_1, family, xs)
         assert "u" in denoms
         for i, x in enumerate(xs):
-            point = piv_solution(SET_1, family, x)
-            assert g[i] == point.g
-            assert gp[i] == point.g_prime
-            assert gpp[i] == point.g_double_prime
+            one = family_grid_eval(SET_1, family, np.array([x]))
+            assert (one[0][0], one[1][0], one[2][0]) == (g[i], gp[i], gpp[i])
 
 
 def test_extremal_state_grid_matches_closed_forms():
@@ -219,4 +200,4 @@ def test_bad_family_everywhere():
     with pytest.raises(BadFamily):
         b_of_a(5, 1.0)
     with pytest.raises(BadFamily):
-        piv_solution(SET_1, "x", 0.0)
+        family_grid_eval(SET_1, "x", np.array([0.0]))

@@ -8,9 +8,9 @@ from susypiv import (
     PoleArgument,
     SingularPoint,
     TransformParams,
-    chain_functions,
     eigenfunction,
     eigenfunction_derivative,
+    family_grid_eval,
     fd_derivative,
     kummer_m,
     kummer_oracle,
@@ -18,7 +18,6 @@ from susypiv import (
     new_state,
     partner_eigenfunction,
     partner_potential,
-    piv_solution,
     real_case_lambda,
     residual_report,
     seed_eval,
@@ -26,6 +25,7 @@ from susypiv import (
     seed_u,
 )
 from susypiv import seed, verify
+from susypiv.grid import singular
 from susypiv.verify import BENCHMARK_PARAMS, THRESHOLDS
 
 from conftest import PARAM_IDS, oracle_seed
@@ -145,6 +145,7 @@ ARRAY_PATH = {
     "eigenfunction": lambda p, x: eigenfunction(4, x),
     "eigenfunction_derivative": lambda p, x: eigenfunction_derivative(4, x),
     "kummer_m": lambda p, x: kummer_m((1.0 - p.epsilon) / 4.0, 0.5, x * x),
+    "fd_derivative": lambda p, x: fd_derivative(lambda t: seed_u(p, t), x),
 }
 
 
@@ -193,7 +194,7 @@ class TestSeedEval:
     def test_beta_prime_matches_finite_difference(self):
         for x in (-2.3, 0.4, 1.7, 4.1):
             ev = seed_eval(SET_1, x)
-            ref = fd_derivative(lambda t: seed_eval(SET_1, t).beta, x, 1)
+            ref = fd_derivative(lambda t: seed_eval_grid(SET_1, t)[2], x, 1)
             assert abs(ev.beta_prime - ref) <= 1e-6 * abs(ev.beta_prime)
 
     def test_consistency_with_grid_path(self):
@@ -210,22 +211,24 @@ class TestSeedEval:
 
     def test_singular_at_real_node(self):
         # eps = 5, lam = kappa = 0: u = e^{-x^2/2}(1 - 2x^2), node at 1/sqrt(2).
-        # Every screening scalar entry raises there; arrays are not screened.
+        # Every screening scalar entry raises there; arrays are not screened,
+        # and the Painleve IV families mark u singular among their denominators.
         params = TransformParams(epsilon=5.0)
         node = 1.0 / math.sqrt(2.0)
         screening = [
             seed_eval,
-            chain_functions,
             partner_potential,
             new_state,
             lambda p, x: partner_eigenfunction(p, 1, x),
-            *(lambda p, x, f=f: piv_solution(p, f, x) for f in (1, 2, 3)),
         ]
         for entry in screening:
             with pytest.raises(SingularPoint):
                 entry(params, node)
         for entry in (partner_potential, new_state):
             assert entry(params, np.array([node])).shape == (1,)
+        for family in (1, 2, 3):
+            denoms = family_grid_eval(params, family, np.array([node]))[3]
+            assert bool(singular(*denoms["u"])[0]), family
 
 
 def test_schrodinger_residual_invariant(default_grid):
@@ -261,6 +264,34 @@ class TestRealCaseLambda:
     def test_pole_raises(self):
         with pytest.raises(PoleArgument):
             real_case_lambda(0.5, 3.0)  # (3-eps)/4 = 0
+
+    @pytest.mark.parametrize("epsilon", (7.0, -1.0 + 4.0 * 2**50))
+    def test_infinite_ratio_raises(self, epsilon):
+        # Gamma((3-eps)/4) has a pole and Gamma((1-eps)/4) none.
+        with pytest.raises(PoleArgument):
+            real_case_lambda(1.0, epsilon)
+
+    @pytest.mark.parametrize("epsilon", (1.0, 5.0, 1.0 + 4.0 * 2**50))
+    def test_lower_pole_gives_zero(self, epsilon):
+        # 1/Gamma((1-eps)/4) vanishes: the even seed u, a Hermite function, has
+        # u'(0) = 0 at eps = 1, 5, 9, ...
+        assert real_case_lambda(0.5, epsilon) == 0.0
+
+    def test_ratio_is_rounded_once(self):
+        assert real_case_lambda(-1.0, -1.0) == -1.1283791670955126  # -2/sqrt(pi)
+        assert real_case_lambda(0.5, -1.0) == 1.0 / math.sqrt(math.pi)
+        assert real_case_lambda(1.0, 0.0) == 0.6759782400672847
+
+    @pytest.mark.parametrize("epsilon", (-1e300, 1e300 + 2**947))
+    def test_past_the_gamma_range(self, epsilon):
+        # Each Gamma leaves the double range; their ratio, about sqrt(|eps|/4),
+        # does not, and needs the fractions of arguments near 2.5e299.
+        with mpmath.workprec(1200):
+            eps = mpmath.mpf(epsilon)
+            want = float(2 * mpmath.gammaprod([(3 - eps) / 4], [(1 - eps) / 4]))
+        got = real_case_lambda(1.0, epsilon)
+        assert got == want
+        assert abs(got - math.sqrt(abs(epsilon))) <= 1e-3 * got
 
 
 class TestLocateRealZeros:

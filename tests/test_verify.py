@@ -1,4 +1,3 @@
-import cmath
 import io
 
 import numpy as np
@@ -31,8 +30,14 @@ class TestFdDerivative:
         assert abs(got - 2.0) <= 1e-9
 
     def test_imaginary_exponential_first_derivative(self):
-        got = fd_derivative(lambda t: cmath.exp(1j * t), 0.0, order=1, h=1e-3)
+        got = fd_derivative(lambda t: np.exp(1j * t), 0.0, order=1, h=1e-3)
         assert abs(got - 1j) <= 1e-10
+
+    def test_array_positions_give_an_array(self):
+        xs = np.array([[0.0, 1.0], [2.0, -3.0]])
+        got = fd_derivative(lambda t: t**3, xs, order=1, h=0.1)
+        assert got.shape == xs.shape
+        np.testing.assert_allclose(got, 3.0 * xs * xs, rtol=0, atol=1e-12)
 
     def test_seed_derivative_cross_check(self):
         ev = seed_eval(SET_1, 1.0)
