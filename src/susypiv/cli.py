@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import painleve, susy, verify
+from . import painleve, seed, susy, verify
 from .errors import AllPointsExcluded, LevelAnnihilated, SusypivError
 from .grid import Grid, singular
 from .seed import TransformParams
@@ -190,40 +190,41 @@ def _run_verify(config: RunConfig, stream) -> int:
     saturated = 0
     for params in param_sets:
         label = _params_label(params)
-        for kind, n, kind_label in verify.report_plan():
-            try:
-                report = verify.residual_report(kind, params, grid, n=n)
-            except AllPointsExcluded:
-                saturated += 1
-                print(f"{label}  {kind_label:<14} SATURATED (all points singular)", file=stream)
-                entries.append({"params": label, "kind": kind_label, "saturated": True})
-                continue
-            except LevelAnnihilated:
-                # Not a check: the state is zero (a degenerate seed).
-                print(f"{label}  {kind_label:<14} ANNIHILATED (level vanishes identically)", file=stream)
-                entries.append({"params": label, "kind": kind_label, "annihilated": True})
-                continue
-            limit = verify.threshold_for(report.kind)
-            ok = report.max_relative <= limit
-            if not ok:
-                failures += 1
-            print(
-                f"{label}  {report.kind:<14} max={report.max_relative:.3e} "
-                f"mean={report.mean_relative:.3e} excluded={len(report.excluded_points)} "
-                f"limit={limit:.0e}  {'PASS' if ok else 'FAIL'}",
-                file=stream,
-            )
-            entries.append(
-                {
-                    "params": label,
-                    "kind": report.kind,
-                    "max_relative": report.max_relative,
-                    "mean_relative": report.mean_relative,
-                    "n_excluded": len(report.excluded_points),
-                    "threshold": limit,
-                    "passed": ok,
-                }
-            )
+        with seed.memo():
+            for kind, n, kind_label in verify.report_plan():
+                try:
+                    report = verify.residual_report(kind, params, grid, n=n)
+                except AllPointsExcluded:
+                    saturated += 1
+                    print(f"{label}  {kind_label:<14} SATURATED (all points singular)", file=stream)
+                    entries.append({"params": label, "kind": kind_label, "saturated": True})
+                    continue
+                except LevelAnnihilated:
+                    # Not a check: the state is zero (a degenerate seed).
+                    print(f"{label}  {kind_label:<14} ANNIHILATED (level vanishes identically)", file=stream)
+                    entries.append({"params": label, "kind": kind_label, "annihilated": True})
+                    continue
+                limit = verify.threshold_for(report.kind)
+                ok = report.max_relative <= limit
+                if not ok:
+                    failures += 1
+                print(
+                    f"{label}  {report.kind:<14} max={report.max_relative:.3e} "
+                    f"mean={report.mean_relative:.3e} excluded={len(report.excluded_points)} "
+                    f"limit={limit:.0e}  {'PASS' if ok else 'FAIL'}",
+                    file=stream,
+                )
+                entries.append(
+                    {
+                        "params": label,
+                        "kind": report.kind,
+                        "max_relative": report.max_relative,
+                        "mean_relative": report.mean_relative,
+                        "n_excluded": len(report.excluded_points),
+                        "threshold": limit,
+                        "passed": ok,
+                    }
+                )
     total = len(entries)
     print(f"verify: {total} reports, {failures} failed, {saturated} saturated", file=stream)
     if config.output_path:

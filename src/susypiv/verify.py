@@ -23,6 +23,11 @@ engine, ``_on_offsets``: it stacks the grid shifted by each stencil offset,
 flattens the stack and evaluates the function over it in chunks of at most
 4096 points, so a stencil costs one seed call per chunk instead of one per
 offset, and the series work space of each call stays bounded.
+
+The kinds of one parameter set evaluate the seed on the same positions again
+and again: each one u, u' on the grid for its exclusion denominators, and
+eigen(0..3) and new_state on one stencil.  The CLI runs them inside
+``seed.memo()``, so each distinct position set is summed once.
 """
 
 from __future__ import annotations
@@ -319,6 +324,6 @@ def residual_report(
         kind=label,
         max_relative=float(np.max(body)),
         mean_relative=float(np.mean(body)),
-        excluded_points=tuple(float(v) for v in xs[excluded]),
+        excluded_points=tuple(xs[excluded].tolist()),
         grid=grid,
     )

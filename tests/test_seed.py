@@ -134,6 +134,28 @@ class TestDeterminism:
         for row, d in zip(chunked, offsets):
             np.testing.assert_array_equal(row, seed_u(SET_1, xs + d))
 
+    def test_memo_serves_the_same_bits_read_only(self, monkeypatch):
+        xs = np.linspace(-5.0, 5.0, 1001)
+        want = seed_eval_grid(SET_1, xs)
+        sums = []
+        horner = seed._horner
+        monkeypatch.setattr(seed, "_horner", lambda *args: sums.append(1) or horner(*args))
+        with seed.memo():
+            u = seed_u(SET_1, xs)  # u only: one sum
+            got = seed_eval_grid(SET_1, xs)  # u' too: the entry is summed again
+            again = seed_eval_grid(SET_1, xs)  # served from memory
+            assert len(sums) == 3
+            for v in (u, *got[:2], *again[:2]):
+                assert not v.flags.writeable
+            for i in range(1, seed._MEMO_ENTRIES + 2):
+                seed_u(SET_1, xs + i)
+                assert len(seed._memo) <= seed._MEMO_ENTRIES
+        assert seed._memo is None
+        for a, b, c in zip(want, got, again):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
+        np.testing.assert_array_equal(u, want[0])
+
 
 # The array-path entries as (params, x) -> values; each takes a scalar or an
 # ndarray of positions.

@@ -1,4 +1,6 @@
+import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +209,103 @@ class TestStencilEngine:
         config = cli.RunConfig(command="verify", run_all=True)
         assert cli.run(config, io.StringIO()) == 0
         assert built == list(BENCHMARK_PARAMS)
+
+
+# SET_1 as RunConfig fields.
+_SET_1_FLAGS = dict(epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0)
+
+
+def _watch_memo(monkeypatch):
+    """Record the memo's entry count (None: closed) after each seed evaluation."""
+    sizes = []
+    evaluate = seed._Chain.evaluate
+
+    def watching(chain, xs, derivative):
+        try:
+            return evaluate(chain, xs, derivative)
+        finally:
+            sizes.append(None if seed._memo is None else len(seed._memo))
+
+    monkeypatch.setattr(seed._Chain, "evaluate", watching)
+    return sizes
+
+
+class TestSeedMemo:
+    """verify evaluates the seed once per distinct position set of a parameter set."""
+
+    def test_horner_sums_per_verify_run(self, monkeypatch):
+        # Without the memo a default run sums 46 times and --all 230 times.
+        sums = []
+        horner = seed._horner
+        monkeypatch.setattr(seed, "_horner", lambda *args: sums.append(1) or horner(*args))
+        assert cli.run(cli.RunConfig(command="verify", **_SET_1_FLAGS), io.StringIO()) == 0
+        assert 0 < len(sums) <= 12
+        sums.clear()
+        assert cli.run(cli.RunConfig(command="verify", run_all=True), io.StringIO()) == 0
+        assert 0 < len(sums) <= 60
+
+    @pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
+    def test_reports_are_identical_with_the_memo(self, default_grid, params):
+        def reports():
+            return [
+                verify.residual_report(kind, params, default_grid, n=n)
+                for kind, n, _ in verify.report_plan()
+            ]
+
+        closed = reports()
+        with seed.memo():
+            opened = reports()
+        assert seed._memo is None
+        assert opened == closed
+
+    def test_scope_is_open_only_inside_verify(self, monkeypatch, tmp_path):
+        sizes = _watch_memo(monkeypatch)
+        assert cli.run(cli.RunConfig(command="verify"), io.StringIO()) == 0
+        assert sizes and None not in sizes
+        assert seed._memo is None
+        sizes.clear()
+        config = cli.RunConfig(command="potential", output_path=str(tmp_path / "v.csv"))
+        assert cli.run(config, io.StringIO()) == 0
+        assert sizes and set(sizes) == {None}
+
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            # eigen(2) raises LevelAnnihilated, which the report loop catches.
+            (dict(epsilon_re=5.0), 0),
+            # The chain stops near |x| = 36.6, and NoConvergence ends the run.
+            (dict(_SET_1_FLAGS, xmin=-40.0, xmax=40.0), 2),
+        ],
+        ids=["annihilated", "no-convergence"],
+    )
+    def test_scope_closes_when_a_kind_raises(self, monkeypatch, overrides, code):
+        sizes = _watch_memo(monkeypatch)
+        config = cli.RunConfig(command="verify", **overrides)
+        assert cli.run(config, io.StringIO()) == code
+        assert sizes and None not in sizes
+        assert seed._memo is None
+
+    def test_memory_stays_bounded(self, monkeypatch):
+        # 10,001 points: the stencil chunks cycle past the bound, so the memo
+        # adds its entries to the peak and nothing more.
+        config = cli.RunConfig(command="verify", step=1e-3, **_SET_1_FLAGS)
+        sizes = _watch_memo(monkeypatch)
+        assert cli.run(config, io.StringIO()) == 0
+
+        def peak():
+            monkeypatch.setattr(seed, "_last_chain", None)
+            tracemalloc.start()
+            try:
+                assert cli.run(config, io.StringIO()) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with_memo = peak()
+        assert max(sizes) == seed._MEMO_ENTRIES
+        monkeypatch.setattr(seed, "memo", contextlib.nullcontext)
+        without = peak()
+        assert with_memo - without <= 0.5 * 2**20
 
 
 def _nested_fd1(fn, xs, h):
