@@ -10,7 +10,8 @@ non-finite float, and turned into bytes by ``text.rows`` in turn, so memory
 does not grow with the grid.  ``text.rows`` formats the floats in numpy to
 the exact text of ``%.17g`` (CSV) or ``repr`` (JSON), with CPython's
 formatter only for the few values it cannot certify.  The bytes go to a
-temporary file that replaces ``--output`` only when the command succeeds.
+temporary file that replaces ``--output`` only when the command succeeds;
+``verify --output`` writes its JSON report the same way.
 Complex columns are serialized as separate real/imaginary fields so the
 output plots directly.  Exit status: 0 ok, 1 verification failure, 2 invalid
 configuration, 3 singular-point saturation.
@@ -146,35 +147,48 @@ def _layout(config: RunConfig, header):
 def _write(config: RunConfig, header, blocks) -> bool:
     """Write the blocks of columns as CSV (floats at .17g) or as the text of
     ``json.dumps({"config": ..., "rows": [...]}, indent=2)``, formatted by
-    ``text.rows`` a block at a time; booleans read true/false in both.  The
-    text goes to a temporary file beside ``--output``, which it replaces
-    once every block is written.  On an error, or when no block kept a row
-    (returns False), ``--output`` is left as it was."""
+    ``text.rows`` a block at a time; booleans read true/false in both.  On an
+    error, or when no block kept a row (returns False), ``--output`` is left
+    as it was."""
     # Imported here, not with the CLI: with no bytecode cache, compiling it
     # would lengthen every start, verify's included.
     from . import text
 
-    path = config.output_path
-    tmp = f"{path}.{os.getpid()}.tmp"
     head, pieces, sep, tail = _layout(config, header)
-    rows = 0
+
+    def chunks():
+        rows = 0
+        for columns in blocks:
+            n = columns[0].size
+            if not n:
+                continue
+            yield (sep if rows else head).encode()
+            yield from text.rows(columns, pieces, sep, shortest=config.format == "json")
+            rows += n
+        if rows:
+            yield tail.encode()
+
+    return _replace(config.output_path, chunks())
+
+
+def _replace(path, chunks) -> bool:
+    """Write the byte strings ``chunks`` to a temporary file beside ``path``,
+    which replaces ``path`` once every chunk is written.  On an error, or when
+    there is no chunk (returns False), ``path`` is left as it was; no
+    temporary file stays behind either way."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    written = False
     try:
         with open(tmp, "wb") as fh:
-            for columns in blocks:
-                n = columns[0].size
-                if not n:
-                    continue
-                fh.write((sep if rows else head).encode())
-                fh.writelines(text.rows(columns, pieces, sep, shortest=config.format == "json"))
-                rows += n
-            if rows:
-                fh.write(tail.encode())
-        if rows:
+            for chunk in chunks:
+                fh.write(chunk)
+                written = True
+        if written:
             os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
-    return rows > 0
+    return written
 
 
 def _params_label(params: TransformParams) -> str:
@@ -229,8 +243,7 @@ def _run_verify(config: RunConfig, stream) -> int:
     print(f"verify: {total} reports, {failures} failed, {saturated} saturated", file=stream)
     if config.output_path:
         payload = {"config": config.to_dict(), "reports": entries}
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        _replace(config.output_path, [(json.dumps(payload, indent=2) + "\n").encode()])
     if saturated:
         return 3
     return 1 if failures else 0

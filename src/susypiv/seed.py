@@ -8,13 +8,19 @@ from the 1F1 series.  Centres sit at x_j = j h with h = min(1/4, 2/sqrt|eps|),
 so a step spans at most about two radians of the oscillation.  Around x_j,
 u(x_j + t) = sum_k c_k t^k with c_0 = u(x_j), c_1 = u'(x_j) and
 
-    (k+1)(k+2) c_{k+2} = (x_j^2 - eps) c_k + 2 x_j c_{k-1} + c_{k-2};
+    (k+1)(k+2) c_{k+2} = (x_j^2 - eps) c_k + 2 x_j c_{k-1} + c_{k-2},
 
-centre j +- 1 takes its c_0, c_1 from centre j's 96-term series summed at
-t = +-h (the exact distance between the rounded centres).  A point x is
-evaluated from its nearest centre, j = rint(x / h), by Horner's rule for u
-and u' at t = x - j h, with each centre's trailing terms below 1e-18 of its
-largest term at |t| <= h/2 dropped.
+which links four coefficients.  A series stops at c_m (at most 96 terms,
+about 30 on [-5, 5]) once its weights |c_k| h^k for k = m-3 .. m are below
+2^-80 of the largest and m (m+1) / 2 is at least
+G = |x_j^2 - eps| h^2 + 2 |x_j| h^3 + h^4: every later weight is then at most
+half the largest of the three it reaches back to, so the dropped tail sums
+to less than 2^-78 of the largest weight, far below the 1e-18 trim below,
+and no stored coefficient moves.  Centre j +- 1 takes its c_0, c_1 from
+centre j's series summed at t = +-h (the exact distance between the rounded
+centres).  A point x is evaluated from its nearest centre, j = rint(x / h),
+by Horner's rule for u and u' at t = x - j h, with each centre's trailing
+terms below 1e-18 of its largest term at |t| <= h/2 dropped.
 
 Against mpmath the relative error is about 1e-14 for |x| <= 26.5, and up to
 2.5e-13 near |x| = 35, where a point on the inner side of its centre is
@@ -51,13 +57,16 @@ from .errors import NoConvergence, PoleArgument
 from .grid import Grid, on_points, screen
 
 _ZERO_SCAN_REL = 1e-6
-# Taylor continuation: largest centre spacing, series length of a centre,
-# share below which evaluation drops trailing terms, centres allowed on each
-# side of the origin, and the coefficient size (times k+1, so u' is covered
-# too) past which a centre is out of range.  Horner sums stay within 4/3 of
-# the largest coefficient for |t| <= 1/4, so nothing overflows below 1e307.
+# Taylor continuation: largest centre spacing, longest series of a centre,
+# share of the largest weight below which four trailing weights end a
+# series, share below which evaluation drops trailing terms, centres allowed
+# on each side of the origin, and the coefficient size (times k+1, so u' is
+# covered too) past which a centre is out of range.  Horner sums stay within
+# 4/3 of the largest coefficient for |t| <= 1/4, so nothing overflows below
+# 1e307.
 _STEP = 0.25
 _TERMS = 96
+_CUT = 2.0**-80
 _TRIM = 1e-18
 _MAX_CENTRES = 8192
 _RANGE = 1e307
@@ -104,26 +113,49 @@ class SeedEvaluation:
     x: float
 
 
-def _series(x0: float, c0: complex, c1: complex, eps: complex) -> list:
-    """The first _TERMS Taylor coefficients of u around x0 from u(x0), u'(x0)."""
+def _series(x0: float, c0: complex, c1: complex, eps: complex, h: float):
+    """Taylor coefficients c_0 .. c_m of u around x0 from u(x0), u'(x0), or
+    None when some (k+1)|c_k| is not finite or passes _RANGE.
+
+    The series stops after c_m (m < _TERMS) once the weights w_k = |c_k| h^k
+    for k = m-3 .. m are below _CUT of the largest so far and G <= m(m+1)/2;
+    by the recurrence each later weight is then at most half the largest of
+    the three it reaches back to, so the tail sums to less than 4 _CUT of the
+    largest weight.
+    """
     q = x0 * x0 - eps
     two_x0 = 2.0 * x0
     c = [0j, 0j, c0, c1]  # two leading zeros stand in for c_{-2}, c_{-1}
-    for k in range(_TERMS - 2):
-        c.append((q * c[k + 2] + two_x0 * c[k + 1] + c[k]) / ((k + 1) * (k + 2)))
+    try:
+        reach = 2.0 * (abs(q) * h * h + 2.0 * abs(x0) * h**3 + h**4)  # 2 G
+        top = abs(c0)
+        if not (top <= _RANGE and 2.0 * abs(c1) <= _RANGE):
+            return None
+        top = max(top, abs(c1) * h)
+        scale = h
+        small = 0  # trailing weights below _CUT * top
+        for k in range(_TERMS - 2):
+            ck = (q * c[k + 2] + two_x0 * c[k + 1] + c[k]) / ((k + 1) * (k + 2))
+            c.append(ck)
+            size = abs(ck)
+            if not (k + 3) * size <= _RANGE:
+                return None
+            scale *= h
+            weight = size * scale
+            if weight > top:
+                top = weight
+            small = small + 1 if weight < _CUT * top else 0
+            if small >= 4 and reach <= (k + 2) * (k + 3):
+                break
+    except OverflowError:  # Python's abs of a complex past the double range
+        return None
     return c[2:]
-
-
-def _in_range(c: list) -> bool:
-    """True when every (k+1)|c_k| is finite and at most _RANGE."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.all(np.abs(np.array(c)) * _ORDERS <= _RANGE))
 
 
 def _sum_at(c: list, t: float):
     """u and u' at offset t from the centre whose series is ``c``."""
     value = slope = 0j
-    for k in range(_TERMS - 1, 0, -1):
+    for k in range(len(c) - 1, 0, -1):
         value = value * t + c[k]
         slope = slope * t + k * c[k]
     return value * t + c[0], slope
@@ -142,10 +174,14 @@ class _Chain:
     def __init__(self, params: TransformParams):
         self.key = _key(params)
         self.eps = params.epsilon
-        size = abs(self.eps)
+        try:
+            size = abs(self.eps)
+        except OverflowError:  # past the double range, and so is c_4 = eps^2 / 24
+            raise NoConvergence("seed u overflowed the double range at x = 0") from None
         self.h = min(_STEP, 2.0 / math.sqrt(size)) if size > 0.0 else _STEP
-        first = _series(0.0, 1.0 + 0j, params.coefficient, self.eps)
-        if not _in_range(first):
+        self.scales = (0.5 * self.h) ** np.arange(_TERMS)
+        first = _series(0.0, 1.0 + 0j, params.coefficient, self.eps, self.h)
+        if first is None:
             raise NoConvergence("seed u overflowed the double range at x = 0")
         self.ends = {1: first, -1: first}
         self.stops = {1: None, -1: None}
@@ -154,8 +190,10 @@ class _Chain:
         self._tabulate()
 
     def _trimmed(self, c):
+        """The series ``c`` as a stored column: without its trailing terms
+        below _TRIM of its largest term at |t| = h/2."""
         coeffs = np.array(c)
-        weights = np.abs(coeffs) * (0.5 * self.h) ** np.arange(_TERMS)
+        weights = np.abs(coeffs) * self.scales[: coeffs.size]
         kept = int(np.nonzero(weights >= _TRIM * weights.max())[0][-1]) + 1
         return coeffs[:kept]
 
@@ -177,8 +215,8 @@ class _Chain:
         while have < reach and self.stops[side] is None:
             # Step by the exact distance between the rounded centres, not by h.
             x0 = side * (have + 1) * self.h
-            c = _series(x0, *_sum_at(end, x0 - side * have * self.h), self.eps)
-            if not _in_range(c):
+            c = _series(x0, *_sum_at(end, x0 - side * have * self.h), self.eps, self.h)
+            if c is None:
                 self.stops[side] = (
                     f"seed u overflowed the double range (|x| past {abs(x0) - 0.5 * self.h:.4g})"
                 )

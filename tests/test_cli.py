@@ -230,6 +230,27 @@ def test_annihilated_eigen_level_is_reported_not_failed(tmp_path):
     ]
 
 
+def test_verify_report_replaces_the_output_only_when_written(monkeypatch, tmp_path, capsys):
+    # The report goes to a temporary file that replaces --output: a failed
+    # replace leaves an earlier report as it was and no temporary file.
+    out = tmp_path / "report.json"
+    out.write_text("an earlier report\n")
+
+    def failing(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+    config = RunConfig(command="verify", step=0.05, output_path=str(out))
+    assert run(config, io.StringIO()) == 2
+    assert "replace failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == "an earlier report\n"
+    monkeypatch.undo()
+    assert run(config, io.StringIO()) == 0
+    assert list(tmp_path.iterdir()) == [out]
+    assert len(json.loads(out.read_text())["reports"]) == 11
+
+
 def test_level_energy_off_the_degenerate_seed_is_checked():
     # eps = 5 with lambda = 1: u is not proportional to psi_2, so eigen(2) is
     # an ordinary check.
@@ -291,6 +312,15 @@ def test_overflow_is_one_error_line(tmp_path):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "overflowed" in lines[0], proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_epsilon_past_the_double_range_is_one_error_line(capsys):
+    # |eps| passes the double range (Python's abs raises OverflowError), and
+    # so would the seed's c_4 = eps^2 / 24: the usual overflow error.
+    config = RunConfig(command="verify", epsilon_re=1.5e308, epsilon_im=1.5e308)
+    assert run(config, io.StringIO()) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["error: seed u overflowed the double range at x = 0"]
 
 
 def test_potential_past_the_1f1_overflow_limit_matches_oracle(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from susypiv import (
+    NoConvergence,
     PoleArgument,
     SingularPoint,
     TransformParams,
@@ -191,13 +192,111 @@ def test_schrodinger_fails_when_the_recurrence_energy_is_wrong(monkeypatch, para
     # own ODE, but not the one the residual is measured against.
     original = seed._series
 
-    def mutated(x0, c0, c1, eps):
-        return original(x0, c0, c1, eps * (1.0 + 1e-6))
+    def mutated(x0, c0, c1, eps, *rest):
+        return original(x0, c0, c1, eps * (1.0 + 1e-6), *rest)
 
     monkeypatch.setattr(seed, "_series", mutated)
     monkeypatch.setattr(seed, "_last_chain", None)
     report = residual_report("schrodinger", params, default_grid)
     assert report.max_relative > THRESHOLDS["schrodinger"]
+
+
+def _grown_to_its_stops(params):
+    """A new chain of ``params`` grown on both sides until it overflows."""
+    chain = seed._Chain(params)
+    for side in (1, -1):
+        with pytest.raises(NoConvergence, match="overflowed"):
+            chain._grow(side, seed._MAX_CENTRES)
+    return chain
+
+
+# (params, centres the stopped chain holds past the full chain's stop on each
+# side).  For eps = 1000 a full 96-term series leaves the double range in
+# terms past the stop rule's one centre before the stored terms do.
+STOP_SWEEP = [(p, 0) for p in BENCHMARK_PARAMS] + [
+    (TransformParams(0.0), 0),  # c_k = 0 unless 4 | k at the origin
+    (TransformParams(1e-300), 0),
+    (TransformParams(-1.0, lam=real_case_lambda(-1.0, -1.0)), 0),
+    (TransformParams(0.5, 1.0, 1.0), 0),
+    (TransformParams(5.0), 0),
+    (TransformParams(-800 + 3j, 1.0, 1.0), 0),
+    (TransformParams(200 + 1j, 1.0, 1.0), 0),
+    (TransformParams(1000.0, 1.0, 1.0), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "params,extra", STOP_SWEEP, ids=[f"{p.epsilon}_lam{p.lam:g}" for p, _ in STOP_SWEEP]
+)
+def test_stopped_series_store_the_full_series_bits(monkeypatch, params, extra):
+    # The stop rule drops only terms that cannot reach a stored column: with
+    # _CUT = 0 every series runs to _TERMS, and every centre keeps the same
+    # bits out to the overflow stop.  Three small terms without the bound G
+    # stop at eps = 0 before c_8 = 1/672 and fail here.
+    monkeypatch.setattr(seed, "_CUT", 0.0)
+    full = _grown_to_its_stops(params)
+    monkeypatch.undo()
+    stopped = _grown_to_its_stops(params)
+    assert stopped.lo == full.lo - extra
+    assert len(stopped.columns) == len(full.columns) + 2 * extra
+    assert all(stops is not None for stops in stopped.stops.values())
+    if not extra:
+        assert stopped.stops == full.stops
+        assert stopped.u_table.tobytes() == full.u_table.tobytes()
+    held = stopped.columns[extra : len(stopped.columns) - extra]
+    assert [c.tobytes() for c in held] == [c.tobytes() for c in full.columns]
+
+
+def test_series_stop_near_thirty_terms_on_the_benchmark_sets(monkeypatch):
+    # Work count: the chains of the five sets out to +-5.2 sum 30 terms a
+    # centre on average (at most 34), where every series used to run to 96.
+    lengths = []
+    series = seed._series
+
+    def counted(*args):
+        c = series(*args)
+        lengths.append(len(c))
+        return c
+
+    monkeypatch.setattr(seed, "_series", counted)
+    for params in BENCHMARK_PARAMS:
+        monkeypatch.setattr(seed, "_last_chain", None)
+        seed_u(params, np.array([-5.2, 5.2]))
+    assert len(lengths) == 5 * (1 + 2 * 21)
+    assert np.mean(lengths) <= 40
+
+
+class TestOverflowGuard:
+    # Python's abs of complex(1.5e308, 1.5e308) raises OverflowError where
+    # numpy's gives inf: either way the series is out of range.
+    HUGE = complex(1.5e308, 1.5e308)
+
+    @pytest.mark.parametrize(
+        "c0,c1,eps",
+        [
+            (HUGE, 0j, 1.0),
+            (1.0, HUGE, 1.0),
+            (1.0, complex(math.inf, 0.0), 1.0),
+            (complex(math.nan, 0.0), 0j, 1.0),
+            (1.0, 0j, -1.2e307),  # 3 |c_2| = 1.8e307 passes _RANGE
+        ],
+        ids=["c0-past-the-double-range", "c1-past-the-double-range", "inf", "nan", "past-range"],
+    )
+    def test_range_check_rejects(self, c0, c1, eps):
+        assert seed._series(0.0, complex(c0), complex(c1), complex(eps), 0.25) is None
+
+    def test_range_check_keeps_a_series_in_range(self):
+        c = seed._series(0.0, 1e306 + 0j, 0j, 1.0 + 0j, 0.25)
+        assert c[:3] == [1e306, 0j, -5e305]
+
+    @pytest.mark.parametrize(
+        "params",
+        [TransformParams(HUGE), TransformParams(1.0, lam=HUGE.real, kappa=HUGE.imag)],
+        ids=["epsilon", "lam-kappa"],
+    )
+    def test_parameters_past_the_double_range(self, params):
+        with pytest.raises(NoConvergence, match=r"overflowed the double range at x = 0"):
+            seed_u(params, 0.0)
 
 
 class TestSeedEval:
