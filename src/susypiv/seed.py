@@ -127,11 +127,11 @@ def _series(x0: float, c0: complex, c1: complex, eps: complex, h: float):
     two_x0 = 2.0 * x0
     c = [0j, 0j, c0, c1]  # two leading zeros stand in for c_{-2}, c_{-1}
     try:
-        reach = 2.0 * (abs(q) * h * h + 2.0 * abs(x0) * h**3 + h**4)  # 2 G
-        top = abs(c0)
-        if not (top <= _RANGE and 2.0 * abs(c1) <= _RANGE):
+        twice_g = 2.0 * (abs(q) * h * h + 2.0 * abs(x0) * h**3 + h**4)
+        size0, size1 = abs(c0), abs(c1)
+        if not (size0 <= _RANGE and 2.0 * size1 <= _RANGE):
             return None
-        top = max(top, abs(c1) * h)
+        top = max(size0, size1 * h)
         scale = h
         small = 0  # trailing weights below _CUT * top
         for k in range(_TERMS - 2):
@@ -145,7 +145,7 @@ def _series(x0: float, c0: complex, c1: complex, eps: complex, h: float):
             if weight > top:
                 top = weight
             small = small + 1 if weight < _CUT * top else 0
-            if small >= 4 and reach <= (k + 2) * (k + 3):
+            if small >= 4 and twice_g <= (k + 2) * (k + 3):
                 break
     except OverflowError:  # Python's abs of a complex past the double range
         return None

@@ -211,8 +211,8 @@ def _grown_to_its_stops(params):
 
 
 # (params, centres the stopped chain holds past the full chain's stop on each
-# side).  For eps = 1000 a full 96-term series leaves the double range in
-# terms past the stop rule's one centre before the stored terms do.
+# side).  For eps = 1000 the terms that a full 96-term series computes past
+# the stop rule leave the double range one centre before the kept terms do.
 STOP_SWEEP = [(p, 0) for p in BENCHMARK_PARAMS] + [
     (TransformParams(0.0), 0),  # c_k = 0 unless 4 | k at the origin
     (TransformParams(1e-300), 0),
