@@ -25,32 +25,33 @@ def eigenfunction(n: int, x):
     Hermite values come from the normalized three-term recurrence with the
     Gaussian folded in, which stays stable through n = 60.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > MAX_DEGREE:
-        raise DegreeTooLarge(f"n={n} beyond stable recurrence range {MAX_DEGREE}")
-
-    def values(xs):
-        prev = math.pi ** -0.25 * np.exp(-0.5 * xs * xs)
-        if n == 0:
-            return prev, None
-        cur = math.sqrt(2.0) * xs * prev
-        for k in range(1, n):
-            prev, cur = cur, math.sqrt(2.0 / (k + 1)) * xs * cur - math.sqrt(k / (k + 1.0)) * prev
-        return cur, None
-
-    return on_points(values, x)
+    return on_points(lambda xs: (_levels(n, xs)[1], None), x)
 
 
 def eigenfunction_derivative(n: int, x):
     """d/dx psi_n via the ladder identity psi_n' = sqrt(2n) psi_{n-1} - x psi_n."""
+    return on_points(lambda xs: (_with_derivative(n, xs)[1], None), x)
+
+
+def _levels(n: int, xs):
+    """(psi_{n-1}, psi_n) on the array ``xs`` from one run of the recurrence;
+    psi_{-1} is None."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > MAX_DEGREE:
+        raise DegreeTooLarge(f"n={n} beyond stable recurrence range {MAX_DEGREE}")
+    prev, cur = None, math.pi ** -0.25 * np.exp(-0.5 * xs * xs)
+    if n > 0:
+        prev, cur = cur, math.sqrt(2.0) * xs * cur
+        for k in range(1, n):
+            prev, cur = cur, math.sqrt(2.0 / (k + 1)) * xs * cur - math.sqrt(k / (k + 1.0)) * prev
+    return prev, cur
 
-    def values(xs):
-        out = -xs * eigenfunction(n, xs)
-        if n > 0:
-            out = out + math.sqrt(2.0 * n) * eigenfunction(n - 1, xs)
-        return out, None
 
-    return on_points(values, x)
+def _with_derivative(n: int, xs):
+    """(psi_n, psi_n') on the array ``xs`` from one run of the recurrence."""
+    prev, cur = _levels(n, xs)
+    out = -xs * cur
+    if n > 0:
+        out = out + math.sqrt(2.0 * n) * prev
+    return cur, out

@@ -70,7 +70,6 @@ _CUT = 2.0**-80
 _TRIM = 1e-18
 _MAX_CENTRES = 8192
 _RANGE = 1e307
-_ORDERS = np.arange(1.0, _TERMS + 1.0)
 # Most recent position arrays whose values memo() keeps: enough for a grid
 # and the stencil chunks that verify's kinds repeat on it.
 _MEMO_ENTRIES = 4
@@ -164,8 +163,8 @@ def _sum_at(c: list, t: float):
 class _Chain:
     """Taylor centres x_j = j h of one parameter set, grown outward on demand.
 
-    Columns j - lo of ``u_table`` and ``du_table`` hold the trimmed series of
-    u and u' at centre j (row k: the t^k coefficient), and ``lengths`` the
+    Column j - lo of ``u_table`` holds the trimmed series of u at centre j
+    (row k: the t^k coefficient, zero past the series), and ``lengths`` the
     number of terms each keeps.  ``ends`` holds the full series of the two
     outermost centres, from which the next ones are stepped, and ``stops``
     the error of a side that has left the double range.
@@ -203,7 +202,6 @@ class _Chain:
         self.u_table = np.zeros((rows, len(self.columns)), dtype=complex)
         for i, col in enumerate(self.columns):
             self.u_table[: col.size, i] = col
-        self.du_table = self.u_table[1:] * _ORDERS[: rows - 1, None]
 
     def _grow(self, side: int, reach: int) -> None:
         """Extend the chain on ``side`` (+1 or -1) to ``reach`` centres, or raise."""
@@ -272,20 +270,24 @@ class _Chain:
         t = (xs - j * self.h).astype(complex)
         index = j.astype(np.intp) - self.lo
         terms = int(self.lengths[j_min - self.lo : j_max - self.lo + 1].max())
-        u = _horner(self.u_table, index, t, terms)
-        if not derivative:
-            return u
-        return u, _horner(self.du_table, index, t, max(terms - 1, 1))
+        return _horner(self.u_table, index, t, terms, derivative)
 
 
-def _horner(table, index, t, terms):
-    """sum_k table[k, index] t^k over the first ``terms`` rows, one column at a time."""
-    acc = table[terms - 1].take(index)
-    column = np.empty_like(acc)
+def _horner(table, index, t, terms, derivative):
+    """u = sum_k table[k, index] t^k over the first ``terms`` rows, or (u, u') with
+    ``derivative``: each row is gathered once, added into u, then times k into u'."""
+    value = table[terms - 1].take(index)
+    if derivative:  # for terms = 1 the rows past the first are zero
+        slope = value * float(terms - 1) if terms > 1 else np.zeros_like(value)
     for k in range(terms - 2, -1, -1):
-        acc *= t
-        acc += table[k].take(index, out=column)
-    return acc
+        value *= t
+        row = table[k].take(index)
+        value += row
+        if derivative and k:
+            row *= float(k)
+            slope *= t
+            slope += row
+    return (value, slope) if derivative else value
 
 
 def _key(params: TransformParams):

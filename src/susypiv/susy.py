@@ -44,8 +44,12 @@ def partner_potential(params: TransformParams, x):
 
 def partner_eigenfunction(params: TransformParams, n: int, x):
     """Image of oscillator level n under the transformation: -psi_n' + beta psi_n."""
-    psi, d_psi = oscillator.eigenfunction, oscillator.eigenfunction_derivative
-    return _on_seed(params, x, lambda xs, u, beta, _: -d_psi(n, xs) + beta * psi(n, xs))
+
+    def image(xs, u, beta, _):
+        psi, d_psi = oscillator._with_derivative(n, xs)
+        return -d_psi + beta * psi
+
+    return _on_seed(params, x, image)
 
 
 def level_annihilated(params: TransformParams, n: int) -> bool:

@@ -51,8 +51,8 @@ _D0 = 6
 # Bytes of a cell before the text that follows it: 24 of sign, prefix and
 # digits with a ".", then 5 of exponent.
 _TEXT = 29
-# Values formatted per numpy pass: bounds the work space (a few hundred
-# bytes per value) whatever the number of rows.
+# Values formatted per numpy pass, within one row: bounds the work space (a
+# few hundred bytes per value) whatever the number of rows.
 _CHUNK = 1 << 13
 
 
@@ -281,7 +281,10 @@ def rows(columns, pieces, sep, shortest=False):
             flags[j] = fill[j].copy(), fill[j].copy()
             _text(flags[j][0], b"true")
             _text(flags[j][1], b"false")
-    step = max(1, _CHUNK // c)
+    # Equal passes of about _CHUNK values: a short last pass would pay the
+    # fixed cost of each numpy call for a few rows.
+    passes = -(-n_rows * c // _CHUNK)
+    step = -(-n_rows // passes)
     cut = len(sep + pieces[0])
     yield pieces[0].encode()
     for start in range(0, n_rows, step):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -386,6 +387,24 @@ def test_benchmark_tracer_hooks_install(monkeypatch, tmp_path):
     # cli.bytes_out of grid_export counts the written files.
     written = [span.attrs["bytes"] for span in tracer.spans if span.name == "cli.run"][1:]
     assert written == [Path(config.output_path).stat().st_size for config in data]
+
+
+def test_digest_tool_hashes_each_command_of_a_workload(tmp_path):
+    # tools/digest_outputs.py prints one line per command and seed; the
+    # verify_suite workload is `verify --all`, digested by its stdout.
+    tool = Path(__file__).resolve().parents[1] / "tools" / "digest_outputs.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--workload", "verify_suite", "--seeds", "1-2"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stream = io.StringIO()
+    assert run(RunConfig(command="verify", run_all=True), stream) == 0
+    digest = hashlib.sha256(stream.getvalue().encode()).hexdigest()
+    assert proc.stdout.splitlines() == [
+        f"{digest}  seed {s}  #0  exit 0  verify --all" for s in (1, 2)
+    ]
+    assert not list(tmp_path.iterdir())
 
 
 # The per-row writer the column writer replaced, kept as the reference its

@@ -143,9 +143,9 @@ class TestDeterminism:
         monkeypatch.setattr(seed, "_horner", lambda *args: sums.append(1) or horner(*args))
         with seed.memo():
             u = seed_u(SET_1, xs)  # u only: one sum
-            got = seed_eval_grid(SET_1, xs)  # u' too: the entry is summed again
+            got = seed_eval_grid(SET_1, xs)  # u' too: one joint sum of u and u'
             again = seed_eval_grid(SET_1, xs)  # served from memory
-            assert len(sums) == 3
+            assert len(sums) == 2
             for v in (u, *got[:2], *again[:2]):
                 assert not v.flags.writeable
             for i in range(1, seed._MEMO_ENTRIES + 2):
@@ -156,6 +156,66 @@ class TestDeterminism:
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, c)
         np.testing.assert_array_equal(u, want[0])
+
+
+def _two_table_sums(params, xs):
+    """u and u' at ``xs`` summed as two Horner passes, one over the chain's
+    u table and one over its rows 1.. times k, each row gathered into a
+    work column; and the number of terms summed."""
+    seed_u(params, xs)  # grows the chain to cover xs
+    chain = seed._chain(params)
+    j = np.rint(xs / chain.h)
+    t = (xs - j * chain.h).astype(complex)
+    index = j.astype(np.intp) - chain.lo
+    terms = int(chain.lengths[index.min() : index.max() + 1].max())
+    du_table = chain.u_table[1:] * np.arange(1.0, chain.u_table.shape[0])[:, None]
+
+    def horner(table, terms):
+        acc = table[terms - 1].take(index)
+        column = np.empty_like(acc)
+        for k in range(terms - 2, -1, -1):
+            acc *= t
+            acc += table[k].take(index, out=column)
+        return acc
+
+    return horner(chain.u_table, terms), horner(du_table, max(terms - 1, 1)), terms
+
+
+_GRID = np.linspace(-5.0, 5.0, 1001)
+FUSED_CASES = [(p, _GRID) for p in BENCHMARK_PARAMS] + [
+    # A stencil: the grid shifted by five offsets, stacked and flattened.
+    (SET_1, np.add.outer([-2e-3, -1e-3, 0.0, 1e-3, 2e-3], _GRID).ravel()),
+    (SET_1, np.random.default_rng(7).permutation(np.linspace(-5.0, 5.0, 8192))),
+    # The potential of wide_domain: Re eps near 9, a small Im eps, on +-26.
+    (TransformParams(9.13 + 4e-4j, 0.8, 1.3), np.linspace(-26.0, 26.0, 52001)),
+]
+
+
+@pytest.mark.parametrize(
+    "params,xs", FUSED_CASES, ids=PARAM_IDS + ["stencil", "shuffled", "wide-26"]
+)
+def test_one_pass_sum_matches_the_two_table_sums(monkeypatch, params, xs):
+    monkeypatch.setattr(seed, "_last_chain", None)
+    u, up, terms = _two_table_sums(params, xs)
+    assert terms > 1
+    got_u, got_up = seed._chain(params).evaluate(xs, True)
+    assert got_u.tobytes() == u.tobytes()
+    assert got_up.tobytes() == up.tobytes()
+    assert seed_u(params, xs).tobytes() == u.tobytes()
+
+
+def test_one_pass_sum_with_a_single_term(monkeypatch):
+    # With _TRIM = 1 each centre keeps only its largest term at |t| = h/2:
+    # c_0 on [-1, 1], where u' is then row 1 (zero) times 1.
+    monkeypatch.setattr(seed, "_TRIM", 1.0)
+    monkeypatch.setattr(seed, "_last_chain", None)
+    seed_u(SET_1, np.array([-26.0, 26.0]))  # centres with longer columns too
+    xs = np.linspace(-1.0, 1.0, 201)
+    u, up, terms = _two_table_sums(SET_1, xs)
+    assert terms == 1 and seed._chain(SET_1).u_table.shape[0] > 1
+    got_u, got_up = seed._chain(SET_1).evaluate(xs, True)
+    assert got_u.tobytes() == u.tobytes()
+    assert got_up.tobytes() == up.tobytes()
 
 
 # The array-path entries as (params, x) -> values; each takes a scalar or an

@@ -120,6 +120,20 @@ def test_rows_between_constant_text_across_chunks(monkeypatch):
     assert got == want.encode()
 
 
+@pytest.mark.parametrize("n_columns,passes", [(5, 5), (3, 3)])
+def test_rows_of_a_block_take_equal_passes(monkeypatch, n_columns, passes):
+    # 8192 rows of c columns are c passes of about _CHUNK = 8192 values,
+    # with no short pass of the rows left over.
+    calls = []
+    cells = text._cells
+    monkeypatch.setattr(text, "_cells", lambda *args: calls.append(args[1].size) or cells(*args))
+    columns = [np.linspace(-5.0, 5.0, 8192) + j for j in range(n_columns)]
+    got = b"".join(text.rows(columns, [""] + [","] * (n_columns - 1) + [""], "\n"))
+    assert len(calls) == passes and sum(calls) == 8192 * n_columns
+    want = "\n".join(",".join("%.17g" % v for v in row) for row in zip(*columns))
+    assert got == want.encode()
+
+
 def test_importing_the_cli_leaves_the_tables_unbuilt():
     # The module is loaded by the first data command and its tables (a few
     # ms) are built on the first formatted chunk, not when the CLI starts.

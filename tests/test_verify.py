@@ -234,7 +234,7 @@ class TestSeedMemo:
     """verify evaluates the seed once per distinct position set of a parameter set."""
 
     def test_horner_sums_per_verify_run(self, monkeypatch):
-        # Without the memo a default run sums 46 times and --all 230 times.
+        # Without the memo a default run sums 26 times and --all 130 times.
         sums = []
         horner = seed._horner
         monkeypatch.setattr(seed, "_horner", lambda *args: sums.append(1) or horner(*args))

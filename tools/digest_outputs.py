@@ -1,0 +1,74 @@
+"""One sha256 per command of a benchmark workload, to check that a change
+keeps every output byte-identical.
+
+Run from a checkout's root:
+
+    python3 tools/digest_outputs.py --workload grid_export --seeds 1-5
+
+The commands are those of ``bench/workloads.py`` and run in this
+interpreter against the checkout's ``src/``, as ``bench/run.py`` runs them.
+Each line gives the digest of one command's output, its seed, its index in
+the workload, its exit status and its arguments.  The output of a ``verify``
+command is its standard output; that of a data command is its file, or its
+standard output if it failed.  Data files are written in a temporary
+directory under the fixed names ``cmd<i>.<format>``, so the
+``config.output_path`` that JSON files carry is the same in every checkout.
+Run it in two checkouts and compare the lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _seeds(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def digests(workload: str, seeds) -> list:
+    """Lines "digest  seed S  #i  exit E  argv" for each command of each seed."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import workloads
+    from susypiv import cli
+
+    lines = []
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for seed in seeds:
+                for i, command in enumerate(workloads.build(workload, seed)):
+                    path = None if command.is_verify else f"cmd{i}.{command.fmt}"
+                    argv = list(command.argv) + ([] if path is None else ["--output", path])
+                    stream = io.StringIO()
+                    code = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)), stream)
+                    ok_file = path is not None and code == 0
+                    data = Path(path).read_bytes() if ok_file else stream.getvalue().encode()
+                    digest = hashlib.sha256(data).hexdigest()
+                    lines.append(f"{digest}  seed {seed}  #{i}  exit {code}  {' '.join(argv)}")
+        finally:
+            os.chdir(home)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, help="a workload of bench/workloads.py")
+    parser.add_argument("--seeds", type=_seeds, default=range(1, 2), help="N or N-M (default 1)")
+    args = parser.parse_args(argv)
+    for line in digests(args.workload, args.seeds):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
