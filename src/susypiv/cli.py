@@ -115,7 +115,8 @@ _BLOCK = 8192  # grid points computed, and rows formatted, per block
 
 def _blocks(config: RunConfig, columns):
     """The command's columns block by block, each block's rows with a
-    non-finite float dropped; ``spectrum`` is one block."""
+    non-finite float dropped (a block with none is yielded as computed);
+    ``spectrum`` is one block."""
     if config.command == "spectrum":
         positions = [None]
     else:
@@ -129,7 +130,7 @@ def _blocks(config: RunConfig, columns):
     for xs in positions:
         block = columns(config, xs)
         finite = np.logical_and.reduce([np.isfinite(c) for c in block if c.dtype.kind == "f"])
-        yield [c[finite] for c in block]
+        yield block if finite.all() else [c[finite] for c in block]
 
 
 def _layout(config: RunConfig, header):

@@ -27,9 +27,14 @@ is the CPython text.
 Layout.  A cell is a row of 8-byte words of fixed character slots: the
 sign, the "0.000" of a small fixed-point number, 17 digits with room for
 one "." moved in, the exponent, and the constant text that follows the
-cell; unused slots hold NUL.  Each word is filled for all the cells of a
-chunk at once from small tables, and the NULs are dropped by one
-``bytes.translate`` per chunk.
+cell; unused slots hold NUL.  Which digits show, where the "." goes and
+whether there is a prefix or an exponent depend only on the style, on X
+clipped to [-5, 17] and on the number k of significant digits.  So one
+table per style, keyed by (X, k), gives each word's masks and constant
+bytes; k itself is looked up by the last three digits, unless all three
+are 0.  A pass formats cells of one style, each word for all of them at
+once from these tables, and the NULs are dropped by one
+``bytes.translate`` per chunk of rows.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 _P16, _P17 = 10**16, 10**17
 # Byte of the first digit in a cell: the sign and "0.000" come before it.
 _D0 = 6
+# A layout key is 17 * (X + 5) + k - 1 = 17 * X + k + _K0 for the decimal
+# exponent X, clipped to [-5, 17], and the digit count k.
+_K0 = 84
 # Bytes of a cell before the text that follows it: 24 of sign, prefix and
 # digits with a ".", then 5 of exponent.
 _TEXT = 29
@@ -79,17 +87,16 @@ def _table(texts, at=0):
 
 @functools.cache
 def _tables():
-    """The tables, built on first use rather than at import.
+    """The tables shared by both styles, built on first use rather than at
+    import.
 
     ``powers``: 10**s by s - _S_MIN, as (hi, lo, hi split in two).
     ``digits``: words holding the ASCII digits of 0..99 at bytes 6-7, of
     0..9999 at bytes 0-3 and at 4-7, and of 0..999 at bytes 4-6.
-    ``zeros``: the trailing zeros of 0..9999 (4 for 0).  ``keep``: by mask,
-    word and 17 * code + last (code 0: no ".", else the "." is byte
-    _D0 + code; ``last``: the last digit shown), the digit bytes kept in
-    place, the ones kept after moving up a byte, and the ".".  ``head``: the
-    sign and "0.000" prefix by 5 * sign + the zeros after the point + 1 (0:
-    no prefix).  ``exponent``: "e+XX" by X + 301 (0: none).
+    ``zeros``: the trailing zeros of 0..9999 (4 for 0).  ``ends``: by the
+    last three of 17 digits, _K0 + k for the k digits up to the last
+    nonzero one (_K0 + 14 where all three are 0: k is then found from the
+    other digits).
     """
     hi, lo = [], []
     for s in range(_S_MIN, _S_MAX + 1):
@@ -112,37 +119,60 @@ def _tables():
 
     digits = (digit_table(2, _D0), digit_table(4, 0), digit_table(4, 4), digit_table(3, 4))
     zeros = (g % 10 == 0) + (g % 100 == 0).astype(int) + (g % 1000 == 0) + (g == 0)
+    ends = _K0 + 18 - zeros[::10]  # 10 * g has one trailing zero more than g
+    return powers, digits, zeros, ends
 
-    code, last = np.divmod(np.arange(17 * 17), 17)
-    at = np.where(code > 0, _D0 + code, 24)[:, None]
+
+@functools.cache
+def _cell_layout(shortest):
+    """The layout of a cell by its key, for one style (``repr`` where
+    ``shortest``, else ``'%.17g'``), built on first use.
+
+    The key is 17 * (X + 5) + k - 1 for the decimal exponent X clipped to
+    [-5, 17] and k significant digits: the layout does not depend on X
+    outside that range.  ``keep``: by word and key, the digit bytes kept in
+    place, the ones kept after moving up a byte to make room for the ".",
+    and the "." with, in word 0, the "0.000" prefix of a small fixed-point
+    number.  ``exponent``: "e+XX" by X + 300, NUL where X is shown in
+    fixed point.
+    """
+    s = int(shortest)
+    x, k = np.divmod(np.arange(23 * 17), 17)
+    x -= 5
+    k += 1
+    fixed = (x >= -4) & (x < 17 - s)
+    integral = fixed & (x >= 0)
+    last = k - 1 + integral * np.maximum(x + s - k + 1, 0)  # the last digit shown
+    after = np.where(integral, x, 16 * fixed)  # the digit the "." follows
+    at = np.where(last > after, _D0 + after + 1, 24)[:, None]  # the "." byte
     shown = (_D0 + last + 1)[:, None]  # one past the last digit, before the move
+    # The "0.000" prefix of a small fixed-point number runs to byte 1 - X.
+    lead = np.where(fixed & ~integral, 1 - x, 0)[:, None]
     byte = np.arange(24)
+    prefix = np.where(byte == 2, ord("."), ord("0"))
     masks = np.stack(
         [
             0xFF * ((byte >= _D0) & (byte < np.minimum(at, shown))),
             0xFF * ((byte > at) & (byte <= shown)),
-            ord(".") * (byte == at),
+            ord(".") * (byte == at) + prefix * ((byte >= 1) & (byte <= lead)),
         ]
     )
-    keep = np.ascontiguousarray(_words(masks).transpose(0, 2, 1))
-
-    head = _table([sign + point for sign in ("\0", "-") for point in ("", "0.", "0.0", "0.00", "0.000")])
-    exponent = _table([""] + [f"e{x:+03d}" for x in range(-300, 301)])
-    return powers, digits, zeros, keep, head, exponent
+    keep = np.ascontiguousarray(_words(masks).transpose(2, 0, 1))
+    exponent = _table(["" if -4 <= e < 17 - s else f"e{e:+03d}" for e in range(-300, 301)])
+    return keep, exponent
 
 
 def _decimal(v, shortest):
     """(N, X, sure) per value of ``v``: |v| is N * 10**(X - 16) rounded to the
-    digits of ``'%.17g'``, or of ``repr`` where ``shortest``, N in
+    digits of ``repr`` where ``shortest``, else of ``'%.17g'``, N in
     [1e16, 1e17) (0 for a zero); ``sure`` is False where that is not
     certified."""
     t_hi, t_lo, t_hh, t_hl = _tables()[0]
     ax = np.abs(v)
     sure = (ax >= _LOW) & (ax < _HIGH)
-    ax[np.flatnonzero(~sure)] = 1.0
-    lg = np.log10(ax)
-    x = lg.astype(np.int64)
-    x -= x > lg
+    if not sure.all():
+        ax[~sure] = 1.0
+    x = np.floor(np.log10(ax)).astype(np.int64)
     a_hi, a_lo = _split(ax)
 
     def scaled(i):
@@ -165,7 +195,7 @@ def _decimal(v, shortest):
         sure[off] &= (p[off] >= _P16) & (p[off] < _P17)
     n = p + (f > 0.5)
     unsure = np.abs(f - 0.5) < _TOL
-    if shortest.any():
+    if shortest:
         mant, e = np.frexp(ax)
         u = np.ldexp(t_hi.take(16 - _S_MIN - x), e - 54)  # ulp/2, scaled
         # Below a power of two the next double is half as far.
@@ -184,13 +214,8 @@ def _decimal(v, shortest):
         # nearest p, which is inside: the interval reaches past p +- 0.5.
         n10 = p - r10 + 10 * (d > 5.0)
         n10 += 10 * (n10 <= a)
-        n_r = by100 * (b - r100 - n) + (by10 & ~by100) * (n10 - n) + n
-        unsure_r |= ~by100 & ((by10 & (np.abs(d - 5.0) < _TOL)) | (~by10 & unsure))
-        if shortest.all():
-            n, unsure = n_r, unsure_r
-        else:
-            n = np.where(shortest, n_r, n)
-            unsure = np.where(shortest, unsure_r, unsure)
+        n += by100 * (b - r100 - n) + (by10 & ~by100) * (n10 - n)
+        unsure = unsure_r | (~by100 & ((by10 & (np.abs(d - 5.0) < _TOL)) | (~by10 & unsure)))
     carry = np.flatnonzero(n == _P17)
     n[carry] = _P16
     x[carry] += 1
@@ -204,9 +229,11 @@ def _decimal(v, shortest):
 
 def _cells(words, v, shortest):
     """Write the text of each value of ``v`` into the first ``_TEXT`` bytes of
-    the rows of ``words`` (one row of uint64 per value, the bytes after them
-    left alone): ``repr`` where ``shortest``, else ``'%.17g'``."""
-    _, (d2, d4, d4_high, d3_high), zeros, keep, head, exponent = _tables()
+    the rows of ``words`` (one row of uint64 per value, its bytes 24 to
+    ``_TEXT`` - 1 NUL on entry and the bytes after them left alone):
+    ``repr`` where ``shortest``, else ``'%.17g'``."""
+    _, (d2, d4, d4_high, d3_high), zeros, ends = _tables()
+    keep, exponent = _cell_layout(shortest)
     n, x, sure = _decimal(v, shortest)
     # Digit groups: d0 d1 | d2..d5 d6..d9 | d10..d13 d14..d16.
     top = n // 10**7
@@ -217,34 +244,39 @@ def _cells(words, v, shortest):
     g2 = mid - g1 * 10**4
     g3 = bottom // 1000
     g4 = bottom - g3 * 1000
-    # k significant digits: 1 + the place of the last nonzero digit (10 * g4
-    # has one trailing zero more than the three digits of g4).
-    k = 2 - (g0 - g0 // 10 * 10 == 0)
-    for place, g in ((6, g1), (10, g2), (14, g3), (18, 10 * g4)):
-        k = np.where(g != 0, place - zeros.take(g), k)
 
-    s = shortest.astype(np.int64)
-    fixed = (x >= -4) & (x < 17 - s)
-    integral = fixed & (x >= 0)
-    last = k - 1 + integral * np.maximum(x + s - k + 1, 0)  # last digit shown
-    after = integral * x + (fixed & ~integral) * 16  # the digit the "." follows
-    code = 17 * (last > after) * (after + 1) + last
-    lead = (fixed & ~integral) * -x  # "0." and lead - 1 zeros
+    # The layout key, 17 * (X + 5) + k - 1 for k significant digits: 1 + the
+    # place of the last nonzero digit, looked up by the last three digits
+    # unless all three are 0.
+    key = ends.take(g4)
+    bare = np.flatnonzero(g4 == 0)
+    if bare.size:
+        first = g0[bare]
+        k = 2 - (first - first // 10 * 10 == 0)
+        for place, group in ((6, g1), (10, g2), (14, g3)):
+            g = group[bare]
+            k = np.where(g != 0, place - zeros.take(g), k)
+        key[bare] = k + _K0
+    key += 17 * np.minimum(np.maximum(x, -5), 17)
 
     raw = (d2.take(g0), d4.take(g1) | d4_high.take(g2), d4.take(g3) | d3_high.take(g4))
-    moved = (raw[0] << 8, (raw[1] << 8) | (raw[0] >> 56), (raw[2] << 8) | (raw[1] >> 56))
-    for w in range(3):
-        low, high, dot = (table.take(code) for table in keep[:, w])
-        cell = (raw[w] & low) | (moved[w] & high) | dot
-        if w == 0:
-            cell |= head.take(5 * np.signbit(v) + lead)
-        words[:, w] = cell
-    words[:, 3] &= np.uint64(0xFFFFFF << 40)
-    words[:, 3] |= exponent.take(~fixed * (x + 301))
+    # No digit moves into word 0: the "." follows digit 0 or a later one.
+    # Each word's last operation writes it in place.
+    low = keep[0, 0].take(key)
+    low &= raw[0]
+    low |= keep[0, 2].take(key)
+    np.bitwise_or(low, np.signbit(v) * np.uint64(ord("-")), out=words[:, 0])
+    for w in (1, 2):
+        low, high, dot = (table.take(key) for table in keep[w])
+        low &= raw[w]
+        high &= (raw[w] << 8) | (raw[w - 1] >> 56)
+        low |= high
+        np.bitwise_or(low, dot, out=words[:, w])
+    words[:, 3] |= exponent.take(x + 300)
 
+    style = "%r" if shortest else "%.17g"
     for i in np.flatnonzero(~sure):
-        cpython = ("%r" if shortest[i] else "%.17g") % float(v[i])
-        _text(words[i], cpython.encode())
+        _text(words[i], (style % float(v[i])).encode())
 
 
 def _text(row, text: bytes) -> None:
@@ -274,13 +306,15 @@ def rows(columns, pieces, sep, shortest=False):
     fill = np.zeros((c, n_words), dtype="<u8")
     for j, t in enumerate(after):
         fill[j].view(np.uint8)[_TEXT : _TEXT + len(t)] = np.frombuffer(t, dtype=np.uint8)
-    styles = np.array([col.dtype.kind == "f" and shortest for col in columns])
+    styles = {}  # style -> the columns formatted in it, in one pass each
     flags = {}  # boolean column -> the words of a true cell, of a false one
     for j, col in enumerate(columns):
         if col.dtype == bool:
             flags[j] = fill[j].copy(), fill[j].copy()
             _text(flags[j][0], b"true")
             _text(flags[j][1], b"false")
+        else:
+            styles.setdefault(shortest and col.dtype.kind == "f", []).append(j)
     # Equal passes of about _CHUNK values: a short last pass would pay the
     # fixed cost of each numpy call for a few rows.
     passes = -(-n_rows * c // _CHUNK)
@@ -292,9 +326,15 @@ def rows(columns, pieces, sep, shortest=False):
         n = block[0].size
         words = np.empty((n, c, n_words), dtype="<u8")
         words[:, :, 3:] = fill[:, 3:]
-        flat = words.reshape(n * c, n_words)
-        _cells(flat, np.stack(block, axis=1).astype(float, copy=False).ravel(), np.tile(styles, n))
+        for style, js in styles.items():
+            values = np.stack([block[j] for j in js], axis=1).astype(float, copy=False).ravel()
+            if len(js) == c:
+                _cells(words.reshape(n * c, n_words), values, style)
+            else:  # a block of mixed styles: this style's columns in a copy
+                part = np.ascontiguousarray(words[:, js])
+                _cells(part.reshape(-1, n_words), values, style)
+                words[:, js] = part
         for j in flags:
             words[:, j] = np.where(block[j][:, None], *flags[j])
         chunk = words.tobytes().translate(None, b"\0")
-        yield chunk if start + step < n_rows else chunk[:-cut]
+        yield chunk if start + step < n_rows else chunk[: len(chunk) - cut]

@@ -407,6 +407,23 @@ def test_digest_tool_hashes_each_command_of_a_workload(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_rows_timing_tool_times_each_data_command(tmp_path):
+    # tools/time_rows.py prints one line per data command (wide_domain has
+    # one, `potential` on +-26 at step 1e-3; its two verify commands write
+    # no data) and the total, and writes no file.
+    tool = Path(__file__).resolve().parents[1] / "tools" / "time_rows.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--workload", "wide_domain", "--repeats", "1"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    command, total = proc.stdout.splitlines()
+    ms, unit, rows, _, size, _, name = command.split()[:7]
+    assert (unit, rows, name) == ("ms", "52001", "potential") and float(ms) > 0 and int(size) > 0
+    assert total.split()[1:] == ["ms", "total"]
+    assert not list(tmp_path.iterdir())
+
+
 # The per-row writer the column writer replaced, kept as the reference its
 # output must match byte for byte.
 def _reference_fmt(value) -> str:
@@ -493,6 +510,24 @@ def test_column_writer_matches_the_per_row_writer(monkeypatch, tmp_path, set_id,
         assert out.read_bytes() == want, (block, set_id, command, family, fmt)
     dropped = (set_id, command, family) == ("5", "piv", 2)
     assert len(_reference_rows(config)) == (12 if command == "spectrum" else 201 - dropped)
+
+
+def test_blocks_yield_finite_columns_as_computed(monkeypatch):
+    # Two blocks of 3 points: the first is all finite and comes through as
+    # the computed arrays themselves; the second loses its NaN row in every
+    # column, the integer and boolean ones included.
+    monkeypatch.setattr(cli, "_BLOCK", 3)
+    computed = []
+
+    def columns(config, xs):
+        values = np.where(xs == 1.0, np.nan, xs * xs)
+        computed.append((xs, values, np.arange(xs.size), xs > 0.5))
+        return computed[-1]
+
+    config = RunConfig(command="potential", xmin=0.0, xmax=1.25, step=0.25)
+    first, second = cli._blocks(config, columns)
+    assert all(got is made for got, made in zip(first, computed[0]))
+    assert [c.tolist() for c in second] == [[0.75, 1.25], [0.5625, 1.5625], [0, 2], [True, True]]
 
 
 def test_no_row_left_writes_no_file(monkeypatch, tmp_path):

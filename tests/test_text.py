@@ -1,6 +1,7 @@
 """The numpy float formatter against CPython: every cell must be the bytes of
 ``'%.17g' % v`` or ``repr(v)``."""
 
+import json
 import subprocess
 import sys
 
@@ -98,10 +99,83 @@ def test_uncertified_cells_take_the_cpython_text(value, style):
     # is odd there, and even for 1e23), a value outside the table.  The
     # cell is CPython's.
     v = np.array([value])
-    shortest = np.array([STYLES[style]])
-    assert not text._decimal(v, shortest)[2][0]
+    assert not text._decimal(v, STYLES[style])[2][0]
     want = repr(value) if STYLES[style] else "%.17g" % value
     assert _formatted(v, STYLES[style]) == want.encode()
+
+
+def _layout_of(cell):
+    """(X, k) of a CPython float text: the decimal exponent of its first
+    significant digit and the number of significant digits shown."""
+    mantissa, _, exponent = cell.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    if exponent:
+        x = int(exponent)
+    elif whole != "0":
+        x = len(whole) - 1
+    else:
+        x = len(digits) - len(fraction) - 1
+    return x, len(digits.rstrip("0")) or 1
+
+
+def _sweep(style):
+    # For every decimal exponent X in [-300, 300] and digit count k in
+    # 1..17, a k-digit decimal times 10**(X - k + 1); of up to 40 random
+    # ones, the first whose CPython text shows X and k.  ('%.17g' shows
+    # fewer than 17 digits only where the double lies that close to a
+    # shorter decimal.)
+    fmt = repr if STYLES[style] else (lambda v: "%.17g" % v)
+    rng = np.random.default_rng(5)
+    values = []
+    for x in range(-300, 301):
+        for k in range(1, 18):
+            for _ in range(40):
+                digits = int(rng.integers(10 ** (k - 1), 10**k)) // 10 * 10 + int(rng.integers(1, 10))
+                value = float(f"{digits}e{x - k + 1}")
+                if _layout_of(fmt(value)) == (x, k):
+                    break
+            values.append(value)
+    return np.array(values), fmt
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_every_exponent_and_digit_count(style):
+    # Both signs of the sweep match CPython, over several passes, and the
+    # sweep reaches every layout: each X in [-5, 17] (the layout table's
+    # range; past it only the exponent text changes) with each k.
+    values, fmt = _sweep(style)
+    _assert_matches(np.concatenate([values, -values]), STYLES[style])
+    reached = {(min(max(x, -5), 17), k) for x, k in (_layout_of(fmt(v)) for v in values.tolist())}
+    assert reached == {(x, k) for x in range(-5, 18) for k in range(1, 18)}
+
+
+def test_mixed_styles_across_passes(monkeypatch):
+    # A JSON block with an integer column between float ones and a boolean
+    # column: the integers read as '%d' and the floats as repr, in passes
+    # of a few rows.
+    monkeypatch.setattr(text, "_CHUNK", 16)
+    rng = np.random.default_rng(6)
+    n = 50
+    ints = rng.integers(-(2**53), 2**53, n)
+    ints[:3] = (0, 2**53, -7)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 20, n)
+    floats[:4] = (0.0, -0.0, 0.1, 1e300)
+    flags = rng.standard_normal(n) > 0
+    others = np.round(rng.standard_normal(n), 3)
+    pieces = ['{"i": ', ', "x": ', ', "ok": ', ', "y": ', "}"]
+    got = b"".join(text.rows([ints, floats, flags, others], pieces, ", ", shortest=True))
+    rows = [
+        {"i": int(i), "x": float(x), "ok": bool(b), "y": float(y)}
+        for i, x, b, y in zip(ints, floats, flags, others)
+    ]
+    assert b"[" + got + b"]" == json.dumps(rows).encode()
+
+
+def test_rows_with_no_text_around_the_cells():
+    # No text before a row nor between rows: the last pass is kept whole.
+    assert b"".join(text.rows([np.array([1.0, 2.5])], ["", ""], "")) == b"12.5"
+    assert b"".join(text.rows([np.array([1.0]), np.array([2.5])], ["", "", ""], "")) == b"12.5"
 
 
 def test_rows_between_constant_text_across_chunks(monkeypatch):
@@ -139,7 +213,8 @@ def test_importing_the_cli_leaves_the_tables_unbuilt():
     # ms) are built on the first formatted chunk, not when the CLI starts.
     code = (
         "import sys, susypiv.cli; assert 'susypiv.text' not in sys.modules; "
-        "from susypiv import text; assert text._tables.cache_info().currsize == 0"
+        "from susypiv import text; assert text._tables.cache_info().currsize == 0; "
+        "assert text._cell_layout.cache_info().currsize == 0"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
