@@ -413,7 +413,7 @@ def test_rows_timing_tool_times_each_data_command(tmp_path):
     # no data) and the total, and writes no file.
     tool = Path(__file__).resolve().parents[1] / "tools" / "time_rows.py"
     proc = subprocess.run(
-        [sys.executable, str(tool), "--workload", "wide_domain", "--repeats", "1"],
+        [sys.executable, str(tool), "--workload", "wide_domain"],
         capture_output=True, text=True, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr

@@ -5,10 +5,10 @@ Run from a checkout's root:
 
     python3 tools/time_rows.py --workload grid_export
 
-The data commands are those of ``bench/workloads.py`` for one seed, run in
+The data commands are those of ``bench/workloads.py`` at seed 1, run in
 this interpreter against the checkout's ``src/``.  Each command's blocks
 (``cli._blocks``) are computed once and held; then ``text.rows`` turns all
-of them into bytes ``--repeats`` times, and the median of those times is
+of them into bytes ``REPEATS`` times, and the median of those times is
 printed with the command's rows, its bytes and its arguments.  ``verify``
 commands write no data and are skipped.
 """
@@ -22,15 +22,16 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+REPEATS = 15  # timed passes per command
 
 
-def _commands(workload: str, seed: int):
+def _commands(workload: str):
     """(argv, blocks, layout, shortest) of each data command of the workload."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
     from susypiv import cli
 
-    for command in workloads.build(workload, seed):
+    for command in workloads.build(workload, 1):
         if command.is_verify:
             continue
         argv = list(command.argv) + ["--output", f"unused.{command.fmt}"]
@@ -56,15 +57,11 @@ def _format(blocks, pieces, sep, shortest):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=("grid_export", "wide_domain"))
-    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
-    parser.add_argument("--repeats", type=int, default=15, help="timed passes per command (default 15)")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     total = 0.0
-    for command, blocks, (pieces, sep), shortest in _commands(args.workload, args.seed):
+    for command, blocks, (pieces, sep), shortest in _commands(args.workload):
         _format(blocks, pieces, sep, shortest)  # builds the tables, warms the caches
-        runs = [_format(blocks, pieces, sep, shortest) for _ in range(args.repeats)]
+        runs = [_format(blocks, pieces, sep, shortest) for _ in range(REPEATS)]
         median = statistics.median(seconds for seconds, _ in runs)
         total += median
         rows = sum(b[0].size for b in blocks)
