@@ -205,7 +205,7 @@ def _run_verify(config: RunConfig, stream) -> int:
     saturated = 0
     for params in param_sets:
         label = _params_label(params)
-        with seed.memo():
+        with seed.memo(), verify.shared():
             for kind, n, kind_label in verify.report_plan():
                 try:
                     report = verify.residual_report(kind, params, grid, n=n)

@@ -105,13 +105,21 @@ def family_grid_eval(params: TransformParams, family: int, xs):
     _family(family)
     xs = np.asarray(xs, dtype=float)
     u, up, beta, beta_prime = seed.seed_eval_grid(params, xs)
+    g, g_prime, g_pp, extra = _from_seed(params, family, xs, beta, beta_prime)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return g, g_prime, g_pp, {**seed.u_denominator(u, up), **extra}
+
+
+def _from_seed(params: TransformParams, family: int, xs, beta, beta_prime):
+    """``family_grid_eval`` from the seed's beta and beta' at ``xs``, with the
+    denominators besides u."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         beta_pp = 2.0 * xs - 2.0 * beta * beta_prime
         vt = xs * xs - 2.0 * beta_prime
         vt_prime = 2.0 * xs - 2.0 * beta_pp
         # Denominator magnitudes are paired with their local scales so grid
         # consumers can apply both the median rule and the absolute rule.
-        denominators = seed.u_denominator(u, up)
+        denominators = {}
         if family == 3:
             h = -beta
         elif family == 2:

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +179,9 @@ class _Chain:
         except OverflowError:  # past the double range, and so is c_4 = eps^2 / 24
             raise NoConvergence("seed u overflowed the double range at x = 0") from None
         self.h = min(_STEP, 2.0 / math.sqrt(size)) if size > 0.0 else _STEP
-        self.scales = (0.5 * self.h) ** np.arange(_TERMS)
+        # Python floats: _trimmed weighs a column of about 30 terms, where a
+        # numpy call costs more than the arithmetic.
+        self.scales = ((0.5 * self.h) ** np.arange(_TERMS)).tolist()
         first = _series(0.0, 1.0 + 0j, params.coefficient, self.eps, self.h)
         if first is None:
             raise NoConvergence("seed u overflowed the double range at x = 0")
@@ -191,10 +194,12 @@ class _Chain:
     def _trimmed(self, c):
         """The series ``c`` as a stored column: without its trailing terms
         below _TRIM of its largest term at |t| = h/2."""
-        coeffs = np.array(c)
-        weights = np.abs(coeffs) * self.scales[: coeffs.size]
-        kept = int(np.nonzero(weights >= _TRIM * weights.max())[0][-1]) + 1
-        return coeffs[:kept]
+        weights = list(map(operator.mul, map(abs, c), self.scales))
+        floor = _TRIM * max(weights)
+        kept = len(weights)
+        while weights[kept - 1] < floor:
+            kept -= 1
+        return np.array(c[:kept], dtype=complex)
 
     def _tabulate(self):
         self.lengths = np.array([col.size for col in self.columns])

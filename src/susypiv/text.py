@@ -59,6 +59,8 @@ _K0 = 84
 # Bytes of a cell before the text that follows it: 24 of sign, prefix and
 # digits with a ".", then 5 of exponent.
 _TEXT = 29
+# Turns the padding of CPython's left-justified cells into NULs.
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 # Values formatted per numpy pass, within one row: bounds the work space (a
 # few hundred bytes per value) whatever the number of rows.
 _CHUNK = 1 << 13
@@ -274,9 +276,14 @@ def _cells(words, v, shortest):
         np.bitwise_or(low, dot, out=words[:, w])
     words[:, 3] |= exponent.take(x + 300)
 
-    style = "%r" if shortest else "%.17g"
-    for i in np.flatnonzero(~sure):
-        _text(words[i], (style % float(v[i])).encode())
+    bad = np.flatnonzero(~sure)
+    if bad.size:
+        # One format for all of them, each left-justified to _TEXT bytes; a
+        # float's text has no space, so the padding turns into the NULs.
+        style = f"%-{_TEXT}r" if shortest else f"%-{_TEXT}.17g"
+        texts = ((style * bad.size) % tuple(v[bad].tolist())).encode().translate(_SPACE_TO_NUL)
+        cells = words.view(np.uint8)
+        cells[bad, :_TEXT] = np.frombuffer(texts, dtype=np.uint8).reshape(bad.size, _TEXT)
 
 
 def _text(row, text: bytes) -> None:

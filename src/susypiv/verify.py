@@ -24,14 +24,19 @@ flattens the stack and evaluates the function over it in chunks of at most
 4096 points, so a stencil costs one seed call per chunk instead of one per
 offset, and the series work space of each call stays bounded.
 
-The kinds of one parameter set evaluate the seed on the same positions again
-and again: each one u, u' on the grid for its exclusion denominators, and
-eigen(0..3) and new_state on one stencil.  The CLI runs them inside
-``seed.memo()``, so each distinct position set is summed once.
+Every kind reads the seed on the grid from one ``_GridState``: u, u', beta
+and beta' there, and the points that the denominator u excludes, each built
+on first use.  A report builds its own, except inside ``shared()``, where the
+reports on one parameter set and grid read the same one.  The kinds also
+repeat the seed on their stencils: eigen(0..3) and new_state evaluate it on
+the same positions.  The CLI runs each parameter set's reports inside
+``shared()`` and ``seed.memo()``, so the grid state is built once and each
+distinct position set is summed once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -76,6 +81,75 @@ class ResidualReport:
     mean_relative: float
     excluded_points: tuple
     grid: Grid
+
+
+def _excluded(mag, local_scale):
+    """The points that a denominator of magnitude ``mag`` excludes: below
+    EXCLUDE_REL of its grid median, singular by ``grid.singular`` or not
+    finite; every point where that median is 0 or not finite."""
+    finite = np.isfinite(mag) & np.isfinite(local_scale)
+    med = float(np.median(mag[finite])) if bool(finite.any()) else 0.0
+    if med == 0.0 or not np.isfinite(med):
+        return np.ones(mag.shape, dtype=bool)
+    # Median rule for isolated dips, absolute rule for denominators that are
+    # rounding noise over the whole grid (degenerate seeds).
+    return (mag < EXCLUDE_REL * med) | singular(mag, local_scale) | ~finite
+
+
+class _GridState:
+    """The seed on the grid of one parameter set, read by every kind: ``xs``,
+    ``values`` = (u, u', beta, beta') there and ``u_excluded``, the points that
+    the denominator u excludes.  Each is built on first use, read-only."""
+
+    def __init__(self, params: TransformParams, grid: Grid):
+        self.params = params
+        self.xs = grid.points()
+        self.xs.flags.writeable = False
+
+    @functools.cached_property
+    def values(self):
+        values = seed.seed_eval_grid(self.params, self.xs)
+        for v in values:
+            v.flags.writeable = False
+        return values
+
+    @functools.cached_property
+    def u_excluded(self):
+        u, up, _, _ = self.values
+        ((mag, local_scale),) = seed.u_denominator(u, up).values()
+        excluded = _excluded(mag, local_scale)
+        excluded.flags.writeable = False
+        return excluded
+
+
+# The grid states kept while ``shared()`` is open, by (seed._key(params), grid):
+# the one most recently asked for.
+_shared: dict | None = None
+
+
+@contextlib.contextmanager
+def shared():
+    """While the block runs, the reports on one parameter set and grid read
+    one ``_GridState``, built by the first of them; a report on another set
+    or grid replaces it.  Keyed by ``seed._key``, so that -0.0 and 0.0 keep
+    their own states."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def _grid_state(params: TransformParams, grid: Grid) -> _GridState:
+    if _shared is None:
+        return _GridState(params, grid)
+    key = (seed._key(params), grid)
+    state = _shared.get(key)
+    if state is None:
+        _shared.clear()
+        state = _shared[key] = _GridState(params, grid)
+    return state
 
 
 def _step(h, default):
@@ -166,53 +240,54 @@ def _relative(terms):
     return np.abs(sum(terms[1:], start=terms[0])) / scale
 
 
-def _schrodinger_rel(params, xs, h, n):
-    u, up, _, _ = seed.seed_eval_grid(params, xs)
-    _, upp = _fd2(lambda t: seed.seed_u(params, t), xs, h)
-    return _relative((-upp, xs * xs * u, -params.epsilon * u)), seed.u_denominator(u, up)
+def _schrodinger_rel(s, h, n):
+    u, _, _, _ = s.values
+    _, upp = _fd2(lambda t: seed.seed_u(s.params, t), s.xs, h)
+    return _relative((-upp, s.xs * s.xs * u, -s.params.epsilon * u)), {}
 
 
-def _riccati_rel(params, xs, h, n):
-    u, up, beta, _ = seed.seed_eval_grid(params, xs)
-    beta_fn = lambda t: seed.seed_eval_grid(params, t)[2]
+def _riccati_rel(s, h, n):
+    xs, (_, _, beta, _) = s.xs, s.values
+    beta_fn = lambda t: seed.seed_eval_grid(s.params, t)[2]
     step = _capped(h, beta)
     beta_p = _d1(_on_offsets(beta_fn, xs, [c * step for c in _D1_OFFSETS]), step)
-    eps = params.epsilon
+    eps = s.params.epsilon
     resid = beta_p + beta * beta - xs * xs + eps
     scale = 1.0 + np.abs(beta_p) + np.abs(beta) ** 2 + xs * xs + abs(eps)
-    return np.abs(resid) / scale, seed.u_denominator(u, up)
+    return np.abs(resid) / scale, {}
 
 
-def _piv_rel(family, params, xs, h, n):
-    g, gp, gpp, denoms = painleve.family_grid_eval(params, family, xs)
-    a, b = painleve.piv_parameters(params, family)
+def _piv_rel(family, s, h, n):
+    _, _, beta, beta_p = s.values
+    g, gp, gpp, denoms = painleve._from_seed(s.params, family, s.xs, beta, beta_p)
+    a, b = painleve.piv_parameters(s.params, family)
     with np.errstate(all="ignore"):
-        return _relative(painleve.piv_residual_terms(g, gp, gpp, xs, a, b)), denoms
+        return _relative(painleve.piv_residual_terms(g, gp, gpp, s.xs, a, b)), denoms
 
 
-def _state_rel(params, xs, h, state, energy):
+def _state_rel(s, h, state, energy):
     """|-f'' + V~ f - E f| over the sum of its terms' sizes, for the partner
     state f = ``state(t)`` at energy E."""
-    u, up, beta, beta_p = seed.seed_eval_grid(params, xs)
+    xs, (_, _, beta, beta_p) = s.xs, s.values
     f, fpp = _fd2(state, xs, _capped(h, beta))
     vt = xs * xs - 2.0 * beta_p
     resid = -fpp + vt * f - energy * f
     scale = 1.0 + np.abs(fpp) + np.abs(vt * f) + abs(energy) * np.abs(f)
-    return np.abs(resid) / scale, seed.u_denominator(u, up)
+    return np.abs(resid) / scale, {}
 
 
-def _eigen_rel(params, xs, h, n):
+def _eigen_rel(s, h, n):
     if n is None or not 0 <= n <= 10:
         raise ValueError("eigen residual requires 0 <= n <= 10")
-    if susy.level_annihilated(params, n):
+    if susy.level_annihilated(s.params, n):
         # Any residual would be relative to a state at rounding level.
         raise LevelAnnihilated(f"eigen({n}): -psi_n' + beta psi_n vanishes identically")
-    state = lambda t: susy.partner_eigenfunction(params, n, t)
-    return _state_rel(params, xs, h, state, float(2 * n + 1))
+    state = lambda t: susy.partner_eigenfunction(s.params, n, t)
+    return _state_rel(s, h, state, float(2 * n + 1))
 
 
-def _new_state_rel(params, xs, h, n):
-    return _state_rel(params, xs, h, lambda t: susy.new_state(params, t), params.epsilon)
+def _new_state_rel(s, h, n):
+    return _state_rel(s, h, lambda t: susy.new_state(s.params, t), s.params.epsilon)
 
 
 def _annihilation_terms(psi, d1, d2, d3, xs, beta, beta_p):
@@ -227,23 +302,24 @@ def _annihilation_terms(psi, d1, d2, d3, xs, beta, beta_p):
     )
 
 
-def _annihilation_rel(params, xs, h, n):
+def _annihilation_rel(s, h, n):
     # The third-order lowering operator annihilates the extremal state 1/u.
-    u, up, beta, beta_p = seed.seed_eval_grid(params, xs)
+    xs, (_, _, beta, beta_p) = s.xs, s.values
     step = _capped(h, beta, _ORDER3_CAP)
     offsets = [c * step for c in _D3_OFFSETS]
     with np.errstate(all="ignore"):
-        psi = _on_offsets(lambda t: 1.0 / seed.seed_u(params, t), xs, offsets)
+        psi = _on_offsets(lambda t: 1.0 / seed.seed_u(s.params, t), xs, offsets)
         d1, d2, d3 = _d1(psi[1:5], step), _d2(psi[:5], step), _d3(psi, step)
         terms = _annihilation_terms(psi[0], d1, d2, d3, xs, beta, beta_p)
-        return _relative(terms), seed.u_denominator(u, up)
+        return _relative(terms), {}
 
 
 @dataclass(frozen=True)
 class _Kind:
-    """``residual(params, xs, h, n)`` gives (relative residuals, non-finite
-    where a point is singular for the check; exclusion denominators).  ``h``
-    is the default step (None: no stencil), ``levels`` the n of a verify run."""
+    """``residual(s, h, n)`` gives (relative residuals on the grid of the
+    ``_GridState`` s, non-finite where a point is singular for the check; its
+    exclusion denominators besides u).  ``h`` is the default step (None: no
+    stencil), ``levels`` the n of a verify run."""
 
     residual: object
     h: float | None
@@ -303,20 +379,12 @@ def residual_report(
         raise ValueError(f"{kind} has no stencil, so it takes no step h")
     if n is not None and not row.levels:
         raise ValueError(f"{kind} takes no level n")
-    xs = grid.points()
     label = _label(kind, n)
-    rel, denoms = row.residual(params, xs, _step(h, row.h), n)
-
-    excluded = ~np.isfinite(rel)
+    state = _grid_state(params, grid)
+    rel, denoms = row.residual(state, _step(h, row.h), n)
+    excluded = ~np.isfinite(rel) | state.u_excluded
     for mag, local_scale in denoms.values():
-        finite = np.isfinite(mag) & np.isfinite(local_scale)
-        med = float(np.median(mag[finite])) if bool(finite.any()) else 0.0
-        if med == 0.0 or not np.isfinite(med):
-            excluded |= True
-        else:
-            # Median rule for isolated dips, absolute rule for denominators
-            # that are rounding noise over the whole grid (degenerate seeds).
-            excluded |= (mag < EXCLUDE_REL * med) | singular(mag, local_scale) | ~finite
+        excluded |= _excluded(mag, local_scale)
     if bool(excluded.all()):
         raise AllPointsExcluded(f"{label}: every grid point is singular")
     body = rel[~excluded]
@@ -324,6 +392,6 @@ def residual_report(
         kind=label,
         max_relative=float(np.max(body)),
         mean_relative=float(np.mean(body)),
-        excluded_points=tuple(xs[excluded].tolist()),
+        excluded_points=tuple(state.xs[excluded].tolist()),
         grid=grid,
     )

@@ -389,22 +389,27 @@ def test_benchmark_tracer_hooks_install(monkeypatch, tmp_path):
     assert written == [Path(config.output_path).stat().st_size for config in data]
 
 
-def test_digest_tool_hashes_each_command_of_a_workload(tmp_path):
+def test_digest_tool_hashes_each_command_of_a_workload(tmp_path, monkeypatch):
     # tools/digest_outputs.py prints one line per command and seed; the
-    # verify_suite workload is `verify --all`, digested by its stdout.
+    # verify_suite workload is `verify --all`, digested by its stdout and its
+    # JSON report, written as cmd0.json.
     tool = Path(__file__).resolve().parents[1] / "tools" / "digest_outputs.py"
+    run_dir, own_dir = tmp_path / "run", tmp_path / "own"
+    run_dir.mkdir()
+    own_dir.mkdir()
     proc = subprocess.run(
         [sys.executable, str(tool), "--workload", "verify_suite", "--seeds", "1-2"],
-        capture_output=True, text=True, cwd=tmp_path,
+        capture_output=True, text=True, cwd=run_dir,
     )
     assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(own_dir)
     stream = io.StringIO()
-    assert run(RunConfig(command="verify", run_all=True), stream) == 0
-    digest = hashlib.sha256(stream.getvalue().encode()).hexdigest()
+    assert run(RunConfig(command="verify", run_all=True, output_path="cmd0.json"), stream) == 0
+    digest = hashlib.sha256(stream.getvalue().encode() + Path("cmd0.json").read_bytes()).hexdigest()
     assert proc.stdout.splitlines() == [
-        f"{digest}  seed {s}  #0  exit 0  verify --all" for s in (1, 2)
+        f"{digest}  seed {s}  #0  exit 0  verify --all --output cmd0.json" for s in (1, 2)
     ]
-    assert not list(tmp_path.iterdir())
+    assert not list(run_dir.iterdir())
 
 
 def test_rows_timing_tool_times_each_data_command(tmp_path):

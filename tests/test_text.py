@@ -104,6 +104,26 @@ def test_uncertified_cells_take_the_cpython_text(value, style):
     assert _formatted(v, STYLES[style]) == want.encode()
 
 
+@pytest.mark.parametrize("style", STYLES)
+def test_many_uncertified_cells_in_one_pass(style):
+    # Whole passes of cells outside the table: 8192 values near 1e300 and
+    # 8192 subnormals of both signs, in one column and across three, with
+    # certified values between them.  Every cell is CPython's text.
+    rng = np.random.default_rng(9)
+    big = rng.uniform(1.0, 10.0, 8192) * 1e300 * rng.choice([-1.0, 1.0], 8192)
+    tiny = rng.integers(1, 2**52, 8192).view(np.float64) * rng.choice([-1.0, 1.0], 8192)
+    mixed = np.where(np.arange(8192) % 3 == 0, rng.standard_normal(8192), tiny)
+    for values in (big, tiny):
+        assert not text._decimal(values, STYLES[style])[2].any()
+    for values in (big, tiny, mixed):
+        _assert_matches(values, STYLES[style])
+    columns = [big[:3000], tiny[:3000], mixed[:3000]]
+    got = b"".join(text.rows(columns, ["", ",", ",", ""], "\n", STYLES[style]))
+    fmt = repr if STYLES[style] else (lambda v: "%.17g" % v)
+    want = "\n".join(",".join(fmt(float(c[r])) for c in columns) for r in range(3000))
+    assert got == want.encode()
+
+
 def _layout_of(cell):
     """(X, k) of a CPython float text: the decimal exponent of its first
     significant digit and the number of significant digits shown."""

@@ -12,6 +12,7 @@ from susypiv import (
     Grid,
     LevelAnnihilated,
     SingularPoint,
+    SusypivError,
     TransformParams,
     fd_derivative,
     residual_report,
@@ -165,10 +166,11 @@ class TestStencilEngine:
             np.testing.assert_array_equal(row, np.exp(1j * (xs + d)))
 
     def test_default_verify_call_count(self, monkeypatch):
-        # One seed evaluation per stencil chunk, not per stencil point: a
-        # default single-set run (11 reports on 1001 points) takes 26; one
-        # call per stencil offset took 194, and the nested annihilation
-        # lattice 37.  The seed evaluates its Taylor chain, so no kummer_m
+        # One seed evaluation per stencil chunk, not per stencil point, and
+        # one on the grid per parameter set: a default single-set run (11
+        # reports on 1001 points) takes 16; one grid evaluation per report
+        # took 26, one call per stencil offset 194, and the nested
+        # annihilation lattice 37.  The seed evaluates its Taylor chain, so no kummer_m
         # call is left at all.
         calls = []
         original = kummer.kummer_m
@@ -192,7 +194,7 @@ class TestStencilEngine:
         )
         assert cli.run(config, io.StringIO()) == 0
         assert calls == []
-        assert 0 < len(evaluations) <= 26
+        assert 0 < len(evaluations) <= 16
 
     def test_verify_all_builds_one_chain_per_set(self, monkeypatch):
         # The seed caches the last parameter set's Taylor chain, and --all
@@ -306,6 +308,97 @@ class TestSeedMemo:
         monkeypatch.setattr(seed, "memo", contextlib.nullcontext)
         without = peak()
         assert with_memo - without <= 0.5 * 2**20
+
+
+def _run_recorded(monkeypatch, config):
+    """Run ``config`` through the CLI, and return its stdout, its JSON report
+    and, per residual_report call, (kind, params, grid, n) with the report or
+    the type of the error it raised."""
+    calls = []
+    original = verify.residual_report
+
+    def recording(kind, params, grid, n=None, h=None):
+        try:
+            report = original(kind, params, grid, n=n, h=h)
+        except SusypivError as exc:
+            calls.append(((kind, params, grid, n), type(exc)))
+            raise
+        calls.append(((kind, params, grid, n), report))
+        return report
+
+    monkeypatch.setattr(verify, "residual_report", recording)
+    stream = io.StringIO()
+    cli.run(config, stream)
+    monkeypatch.setattr(verify, "residual_report", original)
+    with open(config.output_path) as fh:
+        return stream.getvalue(), fh.read(), calls
+
+
+def _alone(kind, params, grid, n):
+    """The report, or the type of the error, of one residual_report call."""
+    try:
+        return residual_report(kind, params, grid, n=n)
+    except SusypivError as exc:
+        return type(exc)
+
+
+class TestSharedGridState:
+    """The CLI builds one grid state per parameter set, and no report changes."""
+
+    @pytest.mark.parametrize(
+        "flags, sets",
+        [
+            (dict(run_all=True), 5),
+            (dict(epsilon_re=5.0), 1),  # eigen(2) ANNIHILATED
+            (dict(epsilon_re=-1.0, step=0.05), 1),  # piv_family_1 SATURATED
+            (dict(epsilon_re=-1.0, lam=0.3, step=0.05), 1),  # beta' - 1 excludes 19 points
+            (dict(epsilon_re=1.0), 1),  # x + beta excludes 773 points
+        ],
+        ids=["benchmark-sets", "annihilated", "saturated", "family-1-denominator", "family-2-denominator"],
+    )
+    def test_reports_equal_a_report_alone(self, monkeypatch, tmp_path, flags, sets):
+        built = []
+
+        class CountingState(verify._GridState):
+            def __init__(self, params, grid):
+                built.append(params)
+                super().__init__(params, grid)
+
+        monkeypatch.setattr(verify, "_GridState", CountingState)
+        config = cli.RunConfig(command="verify", output_path=str(tmp_path / "r.json"), **flags)
+        stdout, report, calls = _run_recorded(monkeypatch, config)
+        assert len(built) == sets and len(calls) == 11 * sets
+        assert [outcome for _, outcome in calls] == [_alone(*call) for call, _ in calls]
+        # Without the scope every report builds its own state, and the
+        # stdout and JSON keep every byte.
+        built.clear()
+        monkeypatch.setattr(verify, "shared", contextlib.nullcontext)
+        assert _run_recorded(monkeypatch, config)[:2] == (stdout, report)
+        assert len(built) == 11 * sets
+
+    def test_signed_zeros_keep_their_own_state(self, default_grid):
+        # Equal as parameters, but the seed's chain keeps the sign of
+        # lambda's zero: the grid values differ in bits.
+        plus, minus = TransformParams(1.0, 0.0), TransformParams(1.0, -0.0)
+        assert plus == minus
+
+        def bits(values):
+            return [v.tobytes() for v in values]
+
+        fresh = {p.lam.hex(): bits(seed.seed_eval_grid(p, default_grid.points())) for p in (plus, minus)}
+        assert fresh["0x0.0p+0"] != fresh["-0x0.0p+0"]
+        plan = verify.report_plan()
+        states, scoped = [], []
+        with verify.shared():
+            for params in (plus, minus, plus):
+                states.append(verify._grid_state(params, default_grid))
+                assert bits(states[-1].values) == fresh[params.lam.hex()]
+                scoped.append([_alone(kind, params, default_grid, n) for kind, n, _ in plan])
+                assert verify._grid_state(params, default_grid) is states[-1]
+        assert verify._shared is None
+        assert len({id(state) for state in states}) == 3
+        for params, reports in zip((plus, minus, plus), scoped):
+            assert reports == [_alone(kind, params, default_grid, n) for kind, n, _ in plan]
 
 
 def _nested_fd1(fn, xs, h):

@@ -9,11 +9,14 @@ The commands are those of ``bench/workloads.py`` and run in this
 interpreter against the checkout's ``src/``, as ``bench/run.py`` runs them.
 Each line gives the digest of one command's output, its seed, its index in
 the workload, its exit status and its arguments.  The output of a ``verify``
-command is its standard output; that of a data command is its file, or its
-standard output if it failed.  Data files are written in a temporary
-directory under the fixed names ``cmd<i>.<format>``, so the
-``config.output_path`` that JSON files carry is the same in every checkout.
-Run it in two checkouts and compare the lines.
+command is its standard output followed by its ``--output`` JSON report,
+which holds each report's max and mean at full precision and its count of
+excluded points (standard output prints max and mean to 3 digits).  That of
+a data command is its file, or its standard output if it failed.  Files are
+written in a temporary directory under the fixed names ``cmd<i>.<format>``
+(``cmd<i>.json`` for ``verify``), so the ``config.output_path`` that JSON
+files carry is the same in every checkout.  Run it in two checkouts and
+compare the lines.
 """
 
 from __future__ import annotations
@@ -47,12 +50,15 @@ def digests(workload: str, seeds) -> list:
         try:
             for seed in seeds:
                 for i, command in enumerate(workloads.build(workload, seed)):
-                    path = None if command.is_verify else f"cmd{i}.{command.fmt}"
-                    argv = list(command.argv) + ([] if path is None else ["--output", path])
+                    path = f"cmd{i}.{'json' if command.is_verify else command.fmt}"
+                    argv = list(command.argv) + ["--output", path]
                     stream = io.StringIO()
                     code = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)), stream)
-                    ok_file = path is not None and code == 0
-                    data = Path(path).read_bytes() if ok_file else stream.getvalue().encode()
+                    data = stream.getvalue().encode()
+                    if command.is_verify:
+                        data += Path(path).read_bytes() if Path(path).exists() else b""
+                    elif code == 0:
+                        data = Path(path).read_bytes()
                     digest = hashlib.sha256(data).hexdigest()
                     lines.append(f"{digest}  seed {seed}  #{i}  exit {code}  {' '.join(argv)}")
         finally:
