@@ -18,7 +18,6 @@ from .errors import (
 )
 from .grid import Grid
 from .kummer import (
-    gamma,
     kummer_m,
     kummer_m_derivative,
     kummer_oracle,

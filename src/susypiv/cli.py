@@ -6,11 +6,11 @@ A data command is one row of ``_COMMANDS``: its header and a function that
 returns its columns at a block of grid positions as 1-d arrays (``piv``
 makes a row non-finite where a family denominator is ``grid.singular``).
 Each block of ``_BLOCK`` points is computed, stripped of its rows with a
-non-finite float, and turned into bytes by ``text.rows`` in turn, so memory
-does not grow with the grid.  ``text.rows`` formats the floats in numpy to
-the exact text of ``%.17g`` (CSV) or ``repr`` (JSON), with CPython's
-formatter only for the few values it cannot certify.  The bytes go to a
-temporary file that replaces ``--output`` only when the command succeeds;
+non-finite float, and turned into bytes by ``text.rows`` in turn, so the
+working set does not grow with the grid.  ``text.rows`` formats the floats
+in numpy to the exact text of ``%.17g`` (CSV) or ``repr`` (JSON), with
+CPython's formatter only for the few values it cannot certify.  The bytes go
+to a temporary file that replaces ``--output`` only when the command succeeds;
 ``verify --output`` writes its JSON report the same way.
 Complex columns are serialized as separate real/imaginary fields so the
 output plots directly.  Exit status: 0 ok, 1 verification failure, 2 invalid
@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import painleve, seed, susy, verify
+from . import painleve, susy, verify
 from .errors import AllPointsExcluded, LevelAnnihilated, SusypivError
 from .grid import Grid, singular
 from .seed import TransformParams
@@ -205,7 +205,7 @@ def _run_verify(config: RunConfig, stream) -> int:
     saturated = 0
     for params in param_sets:
         label = _params_label(params)
-        with seed.memo(), verify.shared():
+        with verify.shared():
             for kind, n, kind_label in verify.report_plan():
                 try:
                     report = verify.residual_report(kind, params, grid, n=n)

@@ -1,17 +1,17 @@
-"""Confluent hypergeometric function M = 1F1 and the Gamma function for
-complex parameters, as double-precision views of mpmath.
+"""Confluent hypergeometric function M = 1F1 for complex parameters, as a
+double-precision view of mpmath.
 
 ``kummer_oracle`` is the one 1F1, ``mpmath.hyp1f1``, which raises its working
 precision until cancellation is resolved, so large negative Re a costs no
 digits.  ``kummer_m`` rounds it to double point by point (about 0.2-2 ms a
-point) and ``gamma`` rounds ``mpmath.gamma``.  mpmath is imported on first
-use, so importing the package does not load it."""
+point).  mpmath is imported on first use, so importing the package does not
+load it."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, PoleArgument, PoleParameter
+from .errors import NoConvergence, PoleParameter
 from .grid import on_points
 
 # Oracle digits behind ``kummer_m``; bits of cancellation that mean an exact zero.
@@ -33,25 +33,11 @@ def _finite(what: str, *values) -> None:
 
 def _double(value, what: str) -> complex:
     """``value`` as a complex double; NoConvergence when it is nonzero and
-    outside the normal double range (M past real z ~ 709, Gamma past |z| ~ 171)."""
+    outside the normal double range (M past real z ~ 709)."""
     w = complex(value)
     if not abs(w) <= np.finfo(float).max or (value != 0 and abs(w) < np.finfo(float).tiny):
         raise NoConvergence(f"{what} {'under' if abs(w) < 1 else 'over'}flowed the double range")
     return w
-
-
-def gamma(z) -> complex:
-    """Gamma for complex argument: ``mpmath.gamma`` rounded to double.
-    Raises PoleArgument at a pole, and NoConvergence for non-finite input or
-    a value past the double range."""
-    z = complex(z)
-    _finite("gamma", z)
-    if _nonpositive_integer(z):
-        raise PoleArgument(f"gamma pole at z={z}")
-    import mpmath
-
-    with mpmath.workprec(53):
-        return _double(mpmath.gamma(z), f"gamma at z={z}")
 
 
 def kummer_m(a, b, z):

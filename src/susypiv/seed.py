@@ -35,19 +35,12 @@ set's chain is cached.  Where a centre's coefficients leave the double range
 NoConvergence; so does a point that would need more than _MAX_CENTRES centres
 on one side of the origin.
 
-While ``memo()`` is open, the _MEMO_ENTRIES = 4 most recent evaluations are
-kept, keyed by the chain and the exact bytes of the positions, and a repeated
-request is served from them as read-only arrays.  The CLI's ``verify`` opens
-it around each parameter set's reports, and nothing else does.  A hit has the
-bits that a new sum would give, since a value does not depend on call history.
-
 All higher derivatives are eliminated through u'' = (x^2 - eps) u, so beta'
 is returned in the closed Riccati form x^2 - eps - beta^2.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -71,9 +64,6 @@ _CUT = 2.0**-80
 _TRIM = 1e-18
 _MAX_CENTRES = 8192
 _RANGE = 1e307
-# Most recent position arrays whose values memo() keeps: enough for a grid
-# and the stencil chunks that verify's kinds repeat on it.
-_MEMO_ENTRIES = 4
 
 
 @dataclass(frozen=True)
@@ -239,23 +229,7 @@ class _Chain:
             raise NoConvergence(self.stops[side])
 
     def evaluate(self, xs, derivative: bool):
-        """u (and u' when ``derivative``) at the positions ``xs``, a 1-d array;
-        inside ``memo()`` a repeated request is served from memory, read-only."""
-        if _memo is None:
-            return self._evaluate(xs, derivative)
-        key = (self.key, xs.tobytes())
-        hit = _memo.pop(key, None)
-        if hit is None or (derivative and len(hit) == 1):
-            hit = self._evaluate(xs, derivative)
-            hit = hit if derivative else (hit,)
-            for values in hit:
-                values.flags.writeable = False
-        _memo[key] = hit
-        if len(_memo) > _MEMO_ENTRIES:
-            del _memo[next(iter(_memo))]
-        return hit if derivative else hit[0]
-
-    def _evaluate(self, xs, derivative):
+        """u (and u' when ``derivative``) at the positions ``xs``, a 1-d array."""
         if xs.size == 0:
             return (xs.astype(complex), xs.astype(complex)) if derivative else xs.astype(complex)
         if not bool(np.all(np.isfinite(xs))):
@@ -302,9 +276,6 @@ def _key(params: TransformParams):
 
 
 _last_chain: _Chain | None = None
-# Results of _Chain.evaluate while ``memo()`` is open, least recent first:
-# (chain key, bytes of the float positions) -> (u,) or (u, u').
-_memo: dict | None = None
 
 
 def _chain(params: TransformParams) -> _Chain:
@@ -313,20 +284,6 @@ def _chain(params: TransformParams) -> _Chain:
     if _last_chain is None or _last_chain.key != _key(params):
         _last_chain = _Chain(params)
     return _last_chain
-
-
-@contextlib.contextmanager
-def memo():
-    """Keep the _MEMO_ENTRIES most recent seed evaluations while the block
-    runs, so that a request for byte-identical positions of the same chain is
-    not summed again.  The values served are bit-identical to a new sum (the
-    chain does not depend on call history) and read-only."""
-    global _memo
-    outer, _memo = _memo, {}
-    try:
-        yield
-    finally:
-        _memo = outer
 
 
 def seed_u(params: TransformParams, x):

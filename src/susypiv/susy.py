@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oscillator, seed
 from .errors import NotNormalizable
-from .grid import Grid, on_points
+from .grid import MAX_POINTS, Grid, on_points
 from .seed import TransformParams
 
 _TAIL_REL = 1e-6
@@ -42,14 +42,16 @@ def partner_potential(params: TransformParams, x):
     return _on_seed(params, x, lambda xs, u, beta, beta_prime: xs * xs - 2.0 * beta_prime)
 
 
+def _image(n: int, xs, beta):
+    """-psi_n' + beta psi_n at the positions ``xs`` (an array), for the seed's
+    ``beta`` there."""
+    psi, d_psi = oscillator._with_derivative(n, xs)
+    return -d_psi + beta * psi
+
+
 def partner_eigenfunction(params: TransformParams, n: int, x):
     """Image of oscillator level n under the transformation: -psi_n' + beta psi_n."""
-
-    def image(xs, u, beta, _):
-        psi, d_psi = oscillator._with_derivative(n, xs)
-        return -d_psi + beta * psi
-
-    return _on_seed(params, x, image)
+    return _on_seed(params, x, lambda xs, u, beta, _: _image(n, xs, beta))
 
 
 def level_annihilated(params: TransformParams, n: int) -> bool:
@@ -77,6 +79,13 @@ def new_state(params: TransformParams, x):
     return on_points(values, x)
 
 
+def _within_rows(n_max: int) -> None:
+    """ValueError when the n_max + 2 levels of a spectrum pass ``grid.MAX_POINTS``,
+    the row limit of a grid, before anything is built."""
+    if n_max + 2 > MAX_POINTS:
+        raise ValueError(f"n_max too large: more than {MAX_POINTS} spectrum rows")
+
+
 def spectrum(params: TransformParams, n_max: int):
     """[epsilon, E_0, ..., E_{n_max}] with E_n = 2n+1.
 
@@ -85,11 +94,13 @@ def spectrum(params: TransformParams, n_max: int):
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    _within_rows(n_max)
     return [complex(params.epsilon)] + [complex(2 * k + 1) for k in range(n_max + 1)]
 
 
 def spectrum_degenerate(params: TransformParams, n_max: int) -> bool:
     """True when the new level exactly duplicates an oscillator level."""
+    _within_rows(n_max)
     eps = complex(params.epsilon)
     return any(eps == complex(2 * k + 1) for k in range(n_max + 1))
 

@@ -24,14 +24,13 @@ flattens the stack and evaluates the function over it in chunks of at most
 4096 points, so a stencil costs one seed call per chunk instead of one per
 offset, and the series work space of each call stays bounded.
 
-Every kind reads the seed on the grid from one ``_GridState``: u, u', beta
-and beta' there, and the points that the denominator u excludes, each built
-on first use.  A report builds its own, except inside ``shared()``, where the
-reports on one parameter set and grid read the same one.  The kinds also
-repeat the seed on their stencils: eigen(0..3) and new_state evaluate it on
-the same positions.  The CLI runs each parameter set's reports inside
-``shared()`` and ``seed.memo()``, so the grid state is built once and each
-distinct position set is summed once.
+Every kind reads the seed from one ``_GridState``: u, u', beta and beta' on
+the grid, the points that the denominator u excludes, and u and beta on the
+partner-state stencil, which eigen(0..3) and new_state all difference; each
+is built on first use.  A report builds its own, except inside ``shared()``,
+where the reports on one parameter set and grid read the same one.  The CLI
+runs each parameter set's reports inside ``shared()``, so the seed is summed
+once per position set: on the grid and on each kind's stencil.
 """
 
 from __future__ import annotations
@@ -98,13 +97,15 @@ def _excluded(mag, local_scale):
 
 class _GridState:
     """The seed on the grid of one parameter set, read by every kind: ``xs``,
-    ``values`` = (u, u', beta, beta') there and ``u_excluded``, the points that
-    the denominator u excludes.  Each is built on first use, read-only."""
+    ``values`` = (u, u', beta, beta') there, ``u_excluded``, the points that
+    the denominator u excludes, and ``partner(h)``, the partner-state stencil.
+    Each is built on first use, read-only."""
 
     def __init__(self, params: TransformParams, grid: Grid):
         self.params = params
         self.xs = grid.points()
         self.xs.flags.writeable = False
+        self._partner = None  # (h, step, u, beta) of the last partner(h)
 
     @functools.cached_property
     def values(self):
@@ -120,6 +121,20 @@ class _GridState:
         excluded = _excluded(mag, local_scale)
         excluded.flags.writeable = False
         return excluded
+
+    def partner(self, h):
+        """(step, u, beta) of the partner-state stencil of step ``h``: step =
+        h capped by beta on the grid, and u and beta at xs + c step for c in
+        _D2_OFFSETS, shape (5,) + xs.shape; kept for the last ``h`` asked for."""
+        if self._partner is None or self._partner[0] != h:
+            step = _capped(h, self.values[2])
+            offsets = [c * step for c in _D2_OFFSETS]
+            u_beta = lambda t: seed.seed_eval_grid(self.params, t)[::2]
+            u, beta = _on_offsets(u_beta, self.xs, offsets, rows=(2,))
+            for v in (step, u, beta):
+                v.flags.writeable = False
+            self._partner = (h, step, u, beta)
+        return self._partner[1:]
 
 
 # The grid states kept while ``shared()`` is open, by (seed._key(params), grid):
@@ -207,19 +222,20 @@ def fd_derivative(f, x, order: int = 1, h: float | None = None):
     return on_points(values, x)
 
 
-def _on_offsets(fn, xs, offsets):
-    """``fn`` at ``xs + d`` for each offset ``d``, shape (len(offsets),) + xs.shape.
+def _on_offsets(fn, xs, offsets, rows=()):
+    """``fn`` at ``xs + d`` for each offset ``d``, shape
+    rows + (len(offsets),) + xs.shape.
 
     Offsets are scalars or arrays that broadcast to ``xs.shape``.  All shifted
     points are stacked, flattened and evaluated in calls of at most _CHUNK
-    points each.
+    points each; ``fn`` maps them to an array of shape rows + (their number,).
     """
     points = np.stack([xs + d for d in offsets])
     flat = points.ravel()
-    out = np.empty(flat.shape, dtype=complex)
+    out = np.empty(rows + flat.shape, dtype=complex)
     for start in range(0, flat.size, _CHUNK):
-        out[start : start + _CHUNK] = fn(flat[start : start + _CHUNK])
-    return out.reshape(points.shape)
+        out[..., start : start + _CHUNK] = fn(flat[start : start + _CHUNK])
+    return out.reshape(rows + points.shape)
 
 
 def _fd2(fn, xs, h):
@@ -267,9 +283,13 @@ def _piv_rel(family, s, h, n):
 
 def _state_rel(s, h, state, energy):
     """|-f'' + V~ f - E f| over the sum of its terms' sizes, for the partner
-    state f = ``state(t)`` at energy E."""
-    xs, (_, _, beta, beta_p) = s.xs, s.values
-    f, fpp = _fd2(state, xs, _capped(h, beta))
+    state f = ``state(t, u, beta)`` at energy E: its values at the positions
+    t of the partner-state stencil, from the seed's u and beta there."""
+    xs, (_, _, _, beta_p) = s.xs, s.values
+    step, u, beta = s.partner(h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = state(np.stack([xs + c * step for c in _D2_OFFSETS]), u, beta)
+    f, fpp = v[0], _d2(v, step)
     vt = xs * xs - 2.0 * beta_p
     resid = -fpp + vt * f - energy * f
     scale = 1.0 + np.abs(fpp) + np.abs(vt * f) + abs(energy) * np.abs(f)
@@ -282,12 +302,12 @@ def _eigen_rel(s, h, n):
     if susy.level_annihilated(s.params, n):
         # Any residual would be relative to a state at rounding level.
         raise LevelAnnihilated(f"eigen({n}): -psi_n' + beta psi_n vanishes identically")
-    state = lambda t: susy.partner_eigenfunction(s.params, n, t)
-    return _state_rel(s, h, state, float(2 * n + 1))
+    # susy.partner_eigenfunction's image of psi_n, on the partner stencil.
+    return _state_rel(s, h, lambda t, u, beta: susy._image(n, t, beta), float(2 * n + 1))
 
 
 def _new_state_rel(s, h, n):
-    return _state_rel(s, h, lambda t: susy.new_state(s.params, t), s.params.epsilon)
+    return _state_rel(s, h, lambda t, u, beta: 1.0 / u, s.params.epsilon)
 
 
 def _annihilation_terms(psi, d1, d2, d3, xs, beta, beta_p):

@@ -10,7 +10,6 @@ from susypiv import (
     Grid,
     TransformParams,
     b_of_a,
-    gamma,
     kummer_m,
     kummer_oracle,
     new_state,
@@ -150,7 +149,7 @@ def test_criterion_11_chain_identity(rng):
     _passed(11, "chain sum exact at 10^4 points; g3 = beta - x bit-identical")
 
 
-def test_criterion_12_special_function_layer(rng):
+def test_criterion_12_special_function_layer():
     # 500 evaluations across z in [0, 100] including the crossover window.
     pairs = [((1 - (-1 + 1j)) / 4, 0.5), ((3 - (-1 + 1j)) / 4, 1.5), (0.25, 0.5)]
     zs = np.concatenate([
@@ -168,16 +167,7 @@ def test_criterion_12_special_function_layer(rng):
             assert rel <= 1e-9, (a, b, z)
             checked += 1
     assert checked >= 500
-    count = 0
-    while count < 100:
-        z = complex(rng.uniform(0.05, 10.0), rng.uniform(-10.0, 10.0))
-        if abs(z) > 10.0:
-            continue
-        count += 1
-        lhs = gamma(z + 1.0)
-        assert abs(lhs - z * gamma(z)) <= 1e-12 * abs(lhs)
-    _passed(12, f"1F1 vs oracle on {checked} points (worst {worst:.1e}); "
-                f"Gamma recurrence on 100 points")
+    _passed(12, f"1F1 vs oracle on {checked} points (worst {worst:.1e})")
 
 
 def test_criterion_13_figure_data_emission(tmp_path):

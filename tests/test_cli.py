@@ -637,6 +637,14 @@ class TestValidation:
         config = RunConfig(command="potential", output_path="/nonexistent/dir/x.csv")
         assert run(config) == 2
 
+    def test_n_max_past_the_row_limit(self, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        argv = ["spectrum", "--n-max", str(10**18), "--output", str(out)]
+        assert run(cli.config_from_args(cli.build_parser().parse_args(argv))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: n_max too large") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_parser_requires_family(self):
         with pytest.raises(SystemExit) as err:
             cli.build_parser().parse_args(["piv", "--output", "x.csv"])

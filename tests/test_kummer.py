@@ -1,5 +1,4 @@
 import cmath
-import math
 import subprocess
 import sys
 import warnings
@@ -10,20 +9,16 @@ import pytest
 
 from susypiv import (
     NoConvergence,
-    PoleArgument,
     PoleParameter,
     fd_derivative,
-    gamma,
     kummer_m,
     kummer_m_derivative,
     kummer_oracle,
-    real_case_lambda,
 )
 
 # Frozen oracle references (the long literal must be parsed at high dps).
 E_30_DIGITS = "2.718281828459045235360287471353"
 M_QUARTER_HALF_ONE = 1.7885868286208679464  # M(1/4, 1/2; 1)
-GAMMA_HALF_PLUS_HALF_I = 0.8181639995417473 - 0.7633138287139826j
 M_QUARTER_HALF_64 = "1080907700788622359697286448.1626114"  # M(1/4, 1/2; 64)
 # M((1-eps)/4, 1/2; 1) at eps = -1+i.
 M_SEED_EPS_M1_P1I = ("2.6405522439161810335166963423178", "-1.0024993168952996762619377837445")
@@ -181,69 +176,22 @@ class TestKummerOracle:
             kummer_oracle(1.0, -3.0, 1.0, 20)
 
 
-class TestGamma:
-    def test_one(self):
-        assert abs(gamma(1.0) - 1.0) <= 1e-14
-
-    def test_half_is_sqrt_pi(self):
-        assert abs(gamma(0.5) - math.sqrt(math.pi)) <= 1e-13 * math.sqrt(math.pi)
-
-    def test_complex_point_frozen(self):
-        got = gamma(0.5 + 0.5j)
-        assert abs(got - GAMMA_HALF_PLUS_HALF_I) <= 1e-12 * abs(GAMMA_HALF_PLUS_HALF_I)
-
-    def test_recurrence_on_random_points(self, rng):
-        # Gamma(z+1) = z Gamma(z) on 100 points with |z| <= 10, Re z > 0.
-        count = 0
-        while count < 100:
-            z = complex(rng.uniform(0.05, 10.0), rng.uniform(-10.0, 10.0))
-            if abs(z) > 10.0:
-                continue
-            count += 1
-            lhs = gamma(z + 1.0)
-            rhs = z * gamma(z)
-            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-    def test_reflection_region_against_mpmath(self):
-        for z in (-1.5 + 0.3j, -0.25 - 2.0j, -4.7 + 0.01j):
-            with mpmath.workdps(30):
-                ref = complex(mpmath.gamma(z))
-            assert abs(gamma(z) - ref) <= 1e-12 * abs(ref)
-
-    def test_poles_raise(self):
-        for z in (0.0, -1.0, -7.0):
-            with pytest.raises(PoleArgument):
-                gamma(z)
-
-    def test_past_the_double_range_raises(self):
-        # Gamma(200) ~ 4e372 overflows and Gamma(-200.5 + 0.1i) ~ 3e-376
-        # underflows.  real_case_lambda(1, -800) needs Gamma(200.75) and
-        # Gamma(200.25), but takes their ratio in mpmath: a finite value.
-        for z in (200.0, -200.5 + 0.1j):
-            with pytest.raises(NoConvergence):
-                gamma(z)
-        with mpmath.workprec(80):
-            want = 2.0 * float(mpmath.gammaprod([mpmath.mpf(803) / 4], [mpmath.mpf(801) / 4]))
-        assert real_case_lambda(1.0, -800.0) == want
-
-
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize(
     "fn,position",
-    [(gamma, 0)] + [(fn, k) for fn in (kummer_oracle, kummer_m) for k in range(3)],
-    ids=["gamma-z", "oracle-a", "oracle-b", "oracle-z", "m-a", "m-b", "m-z"],
+    [(fn, k) for fn in (kummer_oracle, kummer_m) for k in range(3)],
+    ids=["oracle-a", "oracle-b", "oracle-z", "m-a", "m-b", "m-z"],
 )
 def test_non_finite_input_raises(fn, position, value):
-    # gamma(nan) and gamma(inf) said "overflowed the double range", and
     # kummer_oracle(0.25, 0.5, inf) returned mpc(nan, nan).
-    args = [0.25, 0.5, 1.0][: 1 if fn is gamma else 3]
+    args = [0.25, 0.5, 1.0]
     args[position] = value
     with pytest.raises(NoConvergence, match="input is not finite"):
         fn(*args)
 
 
 def test_importing_the_cli_does_not_load_mpmath():
-    # mpmath is imported on first use of the 1F1 and Gamma functions; loading
+    # mpmath is imported on first use of the 1F1 functions; loading
     # it with the package would add about 40 ms to every CLI start.
     code = "import sys, susypiv.cli; assert 'mpmath' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -17,6 +17,7 @@ from susypiv import (
     spectrum,
     spectrum_degenerate,
 )
+from susypiv.grid import MAX_POINTS
 from susypiv.verify import BENCHMARK_PARAMS
 
 from conftest import PARAM_IDS
@@ -121,6 +122,14 @@ class TestSpectrum:
     def test_negative_n_max_rejected(self):
         with pytest.raises(ValueError):
             spectrum(SET_1, -1)
+
+    @pytest.mark.parametrize("n_max", [MAX_POINTS - 1, 10**18])
+    def test_n_max_past_the_row_limit_rejected(self, n_max):
+        # n_max + 2 rows, past the limit of a grid: refused before the list
+        # of levels, or the loop over them, is built.
+        for fn in (spectrum, spectrum_degenerate):
+            with pytest.raises(ValueError, match="n_max too large"):
+                fn(SET_1, n_max)
 
 
 class TestNormalize:

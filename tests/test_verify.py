@@ -20,7 +20,7 @@ from susypiv import (
     seed_u,
     threshold_for,
 )
-from susypiv import cli, kummer, seed, verify
+from susypiv import cli, kummer, seed, susy, verify
 from susypiv.grid import singular
 from susypiv.verify import BENCHMARK_PARAMS, THRESHOLDS
 
@@ -168,7 +168,7 @@ class TestStencilEngine:
     def test_default_verify_call_count(self, monkeypatch):
         # One seed evaluation per stencil chunk, not per stencil point, and
         # one on the grid per parameter set: a default single-set run (11
-        # reports on 1001 points) takes 16; one grid evaluation per report
+        # reports on 1001 points) takes 8; one grid evaluation per report
         # took 26, one call per stencil offset 194, and the nested
         # annihilation lattice 37.  The seed evaluates its Taylor chain, so no kummer_m
         # call is left at all.
@@ -194,7 +194,7 @@ class TestStencilEngine:
         )
         assert cli.run(config, io.StringIO()) == 0
         assert calls == []
-        assert 0 < len(evaluations) <= 16
+        assert 0 < len(evaluations) <= 8
 
     def test_verify_all_builds_one_chain_per_set(self, monkeypatch):
         # The seed caches the last parameter set's Taylor chain, and --all
@@ -215,99 +215,6 @@ class TestStencilEngine:
 
 # SET_1 as RunConfig fields.
 _SET_1_FLAGS = dict(epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0)
-
-
-def _watch_memo(monkeypatch):
-    """Record the memo's entry count (None: closed) after each seed evaluation."""
-    sizes = []
-    evaluate = seed._Chain.evaluate
-
-    def watching(chain, xs, derivative):
-        try:
-            return evaluate(chain, xs, derivative)
-        finally:
-            sizes.append(None if seed._memo is None else len(seed._memo))
-
-    monkeypatch.setattr(seed._Chain, "evaluate", watching)
-    return sizes
-
-
-class TestSeedMemo:
-    """verify evaluates the seed once per distinct position set of a parameter set."""
-
-    def test_horner_sums_per_verify_run(self, monkeypatch):
-        # Without the memo a default run sums 26 times and --all 130 times.
-        sums = []
-        horner = seed._horner
-        monkeypatch.setattr(seed, "_horner", lambda *args: sums.append(1) or horner(*args))
-        assert cli.run(cli.RunConfig(command="verify", **_SET_1_FLAGS), io.StringIO()) == 0
-        assert 0 < len(sums) <= 12
-        sums.clear()
-        assert cli.run(cli.RunConfig(command="verify", run_all=True), io.StringIO()) == 0
-        assert 0 < len(sums) <= 60
-
-    @pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
-    def test_reports_are_identical_with_the_memo(self, default_grid, params):
-        def reports():
-            return [
-                verify.residual_report(kind, params, default_grid, n=n)
-                for kind, n, _ in verify.report_plan()
-            ]
-
-        closed = reports()
-        with seed.memo():
-            opened = reports()
-        assert seed._memo is None
-        assert opened == closed
-
-    def test_scope_is_open_only_inside_verify(self, monkeypatch, tmp_path):
-        sizes = _watch_memo(monkeypatch)
-        assert cli.run(cli.RunConfig(command="verify"), io.StringIO()) == 0
-        assert sizes and None not in sizes
-        assert seed._memo is None
-        sizes.clear()
-        config = cli.RunConfig(command="potential", output_path=str(tmp_path / "v.csv"))
-        assert cli.run(config, io.StringIO()) == 0
-        assert sizes and set(sizes) == {None}
-
-    @pytest.mark.parametrize(
-        "overrides, code",
-        [
-            # eigen(2) raises LevelAnnihilated, which the report loop catches.
-            (dict(epsilon_re=5.0), 0),
-            # The chain stops near |x| = 36.6, and NoConvergence ends the run.
-            (dict(_SET_1_FLAGS, xmin=-40.0, xmax=40.0), 2),
-        ],
-        ids=["annihilated", "no-convergence"],
-    )
-    def test_scope_closes_when_a_kind_raises(self, monkeypatch, overrides, code):
-        sizes = _watch_memo(monkeypatch)
-        config = cli.RunConfig(command="verify", **overrides)
-        assert cli.run(config, io.StringIO()) == code
-        assert sizes and None not in sizes
-        assert seed._memo is None
-
-    def test_memory_stays_bounded(self, monkeypatch):
-        # 10,001 points: the stencil chunks cycle past the bound, so the memo
-        # adds its entries to the peak and nothing more.
-        config = cli.RunConfig(command="verify", step=1e-3, **_SET_1_FLAGS)
-        sizes = _watch_memo(monkeypatch)
-        assert cli.run(config, io.StringIO()) == 0
-
-        def peak():
-            monkeypatch.setattr(seed, "_last_chain", None)
-            tracemalloc.start()
-            try:
-                assert cli.run(config, io.StringIO()) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        with_memo = peak()
-        assert max(sizes) == seed._MEMO_ENTRIES
-        monkeypatch.setattr(seed, "memo", contextlib.nullcontext)
-        without = peak()
-        assert with_memo - without <= 0.5 * 2**20
 
 
 def _run_recorded(monkeypatch, config):
@@ -340,6 +247,21 @@ def _alone(kind, params, grid, n):
         return residual_report(kind, params, grid, n=n)
     except SusypivError as exc:
         return type(exc)
+
+
+def _watch_scope(monkeypatch):
+    """Record, after each seed evaluation, whether ``shared()`` is open."""
+    scoped = []
+    evaluate = seed._Chain.evaluate
+
+    def watching(chain, xs, derivative):
+        try:
+            return evaluate(chain, xs, derivative)
+        finally:
+            scoped.append(verify._shared is not None)
+
+    monkeypatch.setattr(seed._Chain, "evaluate", watching)
+    return scoped
 
 
 class TestSharedGridState:
@@ -399,6 +321,112 @@ class TestSharedGridState:
         assert len({id(state) for state in states}) == 3
         for params, reports in zip((plus, minus, plus), scoped):
             assert reports == [_alone(kind, params, default_grid, n) for kind, n, _ in plan]
+
+    def test_horner_sums_per_verify_run(self, monkeypatch):
+        # One sum per position set of a parameter set: the grid (1),
+        # schrodinger's stencil (2 chunks), riccati's (1), the partner-state
+        # stencil that eigen(0..3) and new_state share (2) and annihilation's
+        # (2).  Without the shared partner stencil a default run sums 16 times,
+        # and with no shared state at all 26.
+        sums = []
+        horner = seed._horner
+        monkeypatch.setattr(seed, "_horner", lambda *args: sums.append(1) or horner(*args))
+        assert cli.run(cli.RunConfig(command="verify", **_SET_1_FLAGS), io.StringIO()) == 0
+        assert len(sums) == 8
+        sums.clear()
+        assert cli.run(cli.RunConfig(command="verify", run_all=True), io.StringIO()) == 0
+        assert len(sums) == 40
+
+    @pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
+    def test_reports_are_identical_in_the_scope(self, default_grid, params):
+        # The partner-state stencil is kept for one step h: a report with
+        # another h builds its own, and the default one is built again after.
+        calls = [(kind, n, None) for kind, n, _ in verify.report_plan()]
+        calls += [("eigen", 1, 5e-4), ("new_state", None, 5e-4), ("eigen", 1, None)]
+
+        def reports():
+            return [
+                verify.residual_report(kind, params, default_grid, n=n, h=h)
+                for kind, n, h in calls
+            ]
+
+        alone = reports()
+        with verify.shared():
+            scoped = reports()
+        assert verify._shared is None
+        assert scoped == alone
+        assert scoped[-3] != scoped[calls.index(("eigen", 1, None))]
+
+    def test_scope_is_open_only_inside_verify(self, monkeypatch, tmp_path):
+        scoped = _watch_scope(monkeypatch)
+        assert cli.run(cli.RunConfig(command="verify"), io.StringIO()) == 0
+        assert scoped and all(scoped)
+        assert verify._shared is None
+        scoped.clear()
+        config = cli.RunConfig(command="potential", output_path=str(tmp_path / "v.csv"))
+        assert cli.run(config, io.StringIO()) == 0
+        assert scoped and not any(scoped)
+
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            # eigen(2) raises LevelAnnihilated, which the report loop catches.
+            (dict(epsilon_re=5.0), 0),
+            # The chain stops near |x| = 36.6, and NoConvergence ends the run.
+            (dict(_SET_1_FLAGS, xmin=-40.0, xmax=40.0), 2),
+        ],
+        ids=["annihilated", "no-convergence"],
+    )
+    def test_scope_closes_when_a_kind_raises(self, monkeypatch, overrides, code):
+        scoped = _watch_scope(monkeypatch)
+        config = cli.RunConfig(command="verify", **overrides)
+        assert cli.run(config, io.StringIO()) == code
+        assert scoped and all(scoped)
+        assert verify._shared is None
+
+    def test_memory_stays_bounded(self, monkeypatch):
+        # The shared state holds the partner-state stencil for the whole
+        # parameter set: u and beta at 5 offsets, 160 bytes a grid point
+        # (10,001 points here), where each report would hold it only while it
+        # runs.  Nothing more may stay.
+        config = cli.RunConfig(command="verify", step=1e-3, **_SET_1_FLAGS)
+        points = config.grid().n_points
+        assert cli.run(config, io.StringIO()) == 0
+
+        def peak():
+            monkeypatch.setattr(seed, "_last_chain", None)
+            tracemalloc.start()
+            try:
+                assert cli.run(config, io.StringIO()) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        scoped = peak()
+        monkeypatch.setattr(verify, "shared", contextlib.nullcontext)
+        alone = peak()
+        assert scoped - alone <= 160 * points + 0.5 * 2**20
+
+
+@pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
+def test_partner_checks_difference_the_library_states(params, default_grid, monkeypatch):
+    # eigen and new_state take -psi_n' + beta psi_n and 1/u from the shared
+    # stencil's u and beta, not from susy: at the stencil's positions those
+    # must be susy.partner_eigenfunction's and susy.new_state's bits.
+    differenced = []
+    d2 = verify._d2
+    monkeypatch.setattr(verify, "_d2", lambda v, h: differenced.append(v) or d2(v, h))
+    with verify.shared():
+        for n in range(4):
+            residual_report("eigen", params, default_grid, n=n)
+        residual_report("new_state", params, default_grid)
+        step, _, _ = verify._grid_state(params, default_grid).partner(verify.KINDS["eigen"].h)
+    xs = default_grid.points()
+    positions = np.stack([xs + c * step for c in verify._D2_OFFSETS])
+    library = [susy.partner_eigenfunction(params, n, positions) for n in range(4)]
+    library.append(susy.new_state(params, positions))
+    for got, want in zip(differenced, library, strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def _nested_fd1(fn, xs, h):
