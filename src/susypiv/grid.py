@@ -33,12 +33,17 @@ class Grid:
             raise ValueError("xmax must exceed xmin")
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise ValueError("step must be positive and finite")
-        if (self.xmax - self.xmin) / self.step > MAX_POINTS:
+        # n_points > MAX_POINTS, also where the last index is infinite.
+        if not self._last_index() < MAX_POINTS:
             raise ValueError(f"grid too fine: more than {MAX_POINTS} points")
+
+    def _last_index(self) -> float:
+        """The index of the last point before flooring; inf past the double range."""
+        return (self.xmax - self.xmin) / self.step + 1e-9
 
     @property
     def n_points(self) -> int:
-        return int(math.floor((self.xmax - self.xmin) / self.step + 1e-9)) + 1
+        return int(math.floor(self._last_index())) + 1
 
     def points(self) -> np.ndarray:
         return self.xmin + self.step * np.arange(self.n_points)

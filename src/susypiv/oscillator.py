@@ -33,24 +33,27 @@ def eigenfunction_derivative(n: int, x):
     return on_points(lambda xs: (_with_derivative(n, xs)[1], None), x)
 
 
-def _levels(n: int, xs):
+def _levels(n: int, xs, start=None):
     """(psi_{n-1}, psi_n) on the array ``xs`` from one run of the recurrence;
-    psi_{-1} is None."""
+    psi_{-1} is None.  ``start`` = (k, psi_{k-1}, psi_k) on ``xs``, k <= n,
+    resumes a run at level k instead of at psi_0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_DEGREE:
         raise DegreeTooLarge(f"n={n} beyond stable recurrence range {MAX_DEGREE}")
-    prev, cur = None, math.pi ** -0.25 * np.exp(-0.5 * xs * xs)
-    if n > 0:
-        prev, cur = cur, math.sqrt(2.0) * xs * cur
-        for k in range(1, n):
+    level, prev, cur = start or (0, None, math.pi ** -0.25 * np.exp(-0.5 * xs * xs))
+    for k in range(level, n):
+        if k == 0:
+            prev, cur = cur, math.sqrt(2.0) * xs * cur
+        else:
             prev, cur = cur, math.sqrt(2.0 / (k + 1)) * xs * cur - math.sqrt(k / (k + 1.0)) * prev
     return prev, cur
 
 
-def _with_derivative(n: int, xs):
-    """(psi_n, psi_n') on the array ``xs`` from one run of the recurrence."""
-    prev, cur = _levels(n, xs)
+def _with_derivative(n: int, xs, levels=None):
+    """(psi_n, psi_n') on the array ``xs`` from ``levels`` = (psi_{n-1}, psi_n)
+    there, by default from one run of the recurrence."""
+    prev, cur = levels or _levels(n, xs)
     out = -xs * cur
     if n > 0:
         out = out + math.sqrt(2.0 * n) * prev

@@ -42,10 +42,10 @@ def partner_potential(params: TransformParams, x):
     return _on_seed(params, x, lambda xs, u, beta, beta_prime: xs * xs - 2.0 * beta_prime)
 
 
-def _image(n: int, xs, beta):
+def _image(n: int, xs, beta, levels=None):
     """-psi_n' + beta psi_n at the positions ``xs`` (an array), for the seed's
-    ``beta`` there."""
-    psi, d_psi = oscillator._with_derivative(n, xs)
+    ``beta`` there; ``levels`` as for ``oscillator._with_derivative``."""
+    psi, d_psi = oscillator._with_derivative(n, xs, levels)
     return -d_psi + beta * psi
 
 
@@ -80,8 +80,11 @@ def new_state(params: TransformParams, x):
 
 
 def _within_rows(n_max: int) -> None:
-    """ValueError when the n_max + 2 levels of a spectrum pass ``grid.MAX_POINTS``,
-    the row limit of a grid, before anything is built."""
+    """ValueError when ``n_max`` is negative, or when the n_max + 2 levels of a
+    spectrum pass ``grid.MAX_POINTS``, the row limit of a grid, before anything
+    is built."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if n_max + 2 > MAX_POINTS:
         raise ValueError(f"n_max too large: more than {MAX_POINTS} spectrum rows")
 
@@ -92,8 +95,6 @@ def spectrum(params: TransformParams, n_max: int):
     A duplicate (epsilon coinciding with an oscillator level) is returned
     as-is; ``spectrum_degenerate`` reports the coincidence.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     _within_rows(n_max)
     return [complex(params.epsilon)] + [complex(2 * k + 1) for k in range(n_max + 1)]
 

@@ -25,12 +25,28 @@ flattens the stack and evaluates the function over it in chunks of at most
 offset, and the series work space of each call stays bounded.
 
 Every kind reads the seed from one ``_GridState``: u, u', beta and beta' on
-the grid, the points that the denominator u excludes, and u and beta on the
-partner-state stencil, which eigen(0..3) and new_state all difference; each
-is built on first use.  A report builds its own, except inside ``shared()``,
-where the reports on one parameter set and grid read the same one.  The CLI
-runs each parameter set's reports inside ``shared()``, so the seed is summed
-once per position set: on the grid and on each kind's stencil.
+the grid, the points that the denominator u excludes, u and beta on the
+partner-state stencil (step h = 1e-3 capped by beta), and the oscillator's
+(psi_{n-1}, psi_n) there; each is built on first use.  A stencil row whose
+positions equal, as doubles, positions already summed is read, not summed:
+
+- the partner stencil's centre is u and beta on the grid, and only its four
+  other offsets are summed;
+- schrodinger (step h, uncapped) reads u from the partner stencil where the
+  cap leaves the partner's step at h, and sums its stencil elsewhere;
+- eigen(0..3) and new_state difference -psi_n' + beta psi_n and 1/u on the
+  partner stencil, and eigen(n) advances the pair the previous eigen(n-1)
+  left, so the Gaussian and the recurrence run once per parameter set;
+- annihilation, which differences 1/u, reads u on the grid for its centre
+  and u at the partner stencil's offsets +-1 for its offsets +-1/2 where
+  half its step is the partner's; the rest of its stencil is summed in one
+  engine call;
+- riccati sums its own stencil.
+
+A report builds its own state, except inside ``shared()``, where the reports
+on one parameter set and grid read the same one.  The CLI runs each
+parameter set's reports inside ``shared()``, so a default ``verify`` sums
+the seed 5 times and ``verify --all`` 25.
 """
 
 from __future__ import annotations
@@ -42,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import painleve, seed, susy
+from . import oscillator, painleve, seed, susy
 from .errors import AllPointsExcluded, EvaluationFailed, LevelAnnihilated, SusypivError
 from .grid import Grid, on_points, singular
 from .seed import TransformParams
@@ -60,6 +76,8 @@ _CHUNK = 4096
 _D1_OFFSETS = (1.0, -1.0, 0.5, -0.5)
 _D2_OFFSETS = (0.0,) + _D1_OFFSETS
 _D3_OFFSETS = _D2_OFFSETS + (2.0, -2.0)
+# The ``where`` of a row of ``_on_offsets`` that is known at every point.
+_ALL = np.True_
 
 # The five showcase parameter sets exercised by the verification suites.
 BENCHMARK_PARAMS = (
@@ -98,14 +116,16 @@ def _excluded(mag, local_scale):
 class _GridState:
     """The seed on the grid of one parameter set, read by every kind: ``xs``,
     ``values`` = (u, u', beta, beta') there, ``u_excluded``, the points that
-    the denominator u excludes, and ``partner(h)``, the partner-state stencil.
-    Each is built on first use, read-only."""
+    the denominator u excludes, ``partner(h)``, the partner-state stencil, and
+    ``levels(h, n, t)``, the oscillator on it.  Each is built on first use;
+    all but the oscillator's pair, which the next level replaces, read-only."""
 
     def __init__(self, params: TransformParams, grid: Grid):
         self.params = params
         self.xs = grid.points()
         self.xs.flags.writeable = False
         self._partner = None  # (h, step, u, beta) of the last partner(h)
+        self._levels = None  # (h, n, psi_{n-1}, psi_n) of the last levels(h, n, t)
 
     @functools.cached_property
     def values(self):
@@ -125,16 +145,30 @@ class _GridState:
     def partner(self, h):
         """(step, u, beta) of the partner-state stencil of step ``h``: step =
         h capped by beta on the grid, and u and beta at xs + c step for c in
-        _D2_OFFSETS, shape (5,) + xs.shape; kept for the last ``h`` asked for."""
+        _D2_OFFSETS, shape (5,) + xs.shape, the grid's at c = 0; kept for the
+        last ``h`` asked for."""
         if self._partner is None or self._partner[0] != h:
-            step = _capped(h, self.values[2])
+            u, _, beta, _ = self.values
+            step = _capped(h, beta)
             offsets = [c * step for c in _D2_OFFSETS]
             u_beta = lambda t: seed.seed_eval_grid(self.params, t)[::2]
-            u, beta = _on_offsets(u_beta, self.xs, offsets, rows=(2,))
+            known = [(0, _ALL, np.stack((u, beta)))]
+            u, beta = _on_offsets(u_beta, self.xs, offsets, rows=(2,), known=known)
             for v in (step, u, beta):
                 v.flags.writeable = False
             self._partner = (h, step, u, beta)
         return self._partner[1:]
+
+    def levels(self, h, n, t):
+        """(psi_{n-1}, psi_n) at the positions ``t`` of ``partner(h)``'s
+        stencil: the pair of the last call advanced when that asked for this
+        h and a level up to n, else a run of the recurrence from psi_0."""
+        start = None
+        if self._levels is not None and self._levels[0] == h and self._levels[1] <= n:
+            start = self._levels[1:]
+        prev, cur = oscillator._levels(n, t, start)
+        self._levels = (h, n, prev, cur)
+        return prev, cur
 
 
 # The grid states kept while ``shared()`` is open, by (seed._key(params), grid):
@@ -222,26 +256,35 @@ def fd_derivative(f, x, order: int = 1, h: float | None = None):
     return on_points(values, x)
 
 
-def _on_offsets(fn, xs, offsets, rows=()):
+def _on_offsets(fn, xs, offsets, rows=(), known=()):
     """``fn`` at ``xs + d`` for each offset ``d``, shape
     rows + (len(offsets),) + xs.shape.
 
-    Offsets are scalars or arrays that broadcast to ``xs.shape``.  All shifted
-    points are stacked, flattened and evaluated in calls of at most _CHUNK
-    points each; ``fn`` maps them to an array of shape rows + (their number,).
+    Offsets are scalars or arrays that broadcast to ``xs.shape``.  For a 1-d
+    ``xs``, ``known`` holds triples (k, where, values), at most one per offset
+    k: the values of ``fn``, shape rows + xs.shape, at the points ``where`` (a
+    boolean mask or ``_ALL``) of offset k, already computed at those
+    positions.  All other shifted points are stacked, flattened and evaluated
+    in calls of at most _CHUNK points each; ``fn`` maps them to an array of
+    shape rows + (their number,).
     """
     points = np.stack([xs + d for d in offsets])
-    flat = points.ravel()
-    out = np.empty(rows + flat.shape, dtype=complex)
-    for start in range(0, flat.size, _CHUNK):
-        out[..., start : start + _CHUNK] = fn(flat[start : start + _CHUNK])
-    return out.reshape(rows + points.shape)
-
-
-def _fd2(fn, xs, h):
-    """``fn`` at ``xs`` and its second difference, from one engine call."""
-    v = _on_offsets(fn, xs, [c * h for c in _D2_OFFSETS])
-    return v[0], _d2(v, h)
+    out = np.empty(rows + points.shape, dtype=complex)
+    if known:
+        todo = np.ones(points.shape, dtype=bool)
+        for k, where, values in known:
+            np.copyto(out[..., k, :], values, where=where)
+            todo[k] = ~where
+        index = np.flatnonzero(todo)
+        chunks = [index[start : start + _CHUNK] for start in range(0, index.size, _CHUNK)]
+    else:
+        chunks = [slice(start, start + _CHUNK) for start in range(0, points.size, _CHUNK)]
+    flat, dest = points.ravel(), out.reshape((-1, points.size))
+    for chunk in chunks:
+        # Row by row: numpy scatters one axis at a time far faster.
+        for row, values in zip(dest, np.reshape(fn(flat[chunk]), (len(dest), -1))):
+            row[chunk] = values
+    return out
 
 
 def _capped(h, beta, cap=_POLE_CAP):
@@ -257,8 +300,13 @@ def _relative(terms):
 
 
 def _schrodinger_rel(s, h, n):
+    # Where the cap leaves the partner's step at h, its stencil's u is this one.
     u, _, _, _ = s.values
-    _, upp = _fd2(lambda t: seed.seed_u(s.params, t), s.xs, h)
+    step, partner_u, _ = s.partner(h)
+    uncapped = step == h
+    known = [(0, _ALL, u)] + [(k, uncapped, partner_u[k]) for k in range(1, len(_D2_OFFSETS))]
+    offsets = [c * h for c in _D2_OFFSETS]
+    upp = _d2(_on_offsets(lambda t: seed.seed_u(s.params, t), s.xs, offsets, known=known), h)
     return _relative((-upp, s.xs * s.xs * u, -s.params.epsilon * u)), {}
 
 
@@ -303,7 +351,8 @@ def _eigen_rel(s, h, n):
         # Any residual would be relative to a state at rounding level.
         raise LevelAnnihilated(f"eigen({n}): -psi_n' + beta psi_n vanishes identically")
     # susy.partner_eigenfunction's image of psi_n, on the partner stencil.
-    return _state_rel(s, h, lambda t, u, beta: susy._image(n, t, beta), float(2 * n + 1))
+    image = lambda t, u, beta: susy._image(n, t, beta, s.levels(h, n, t))
+    return _state_rel(s, h, image, float(2 * n + 1))
 
 
 def _new_state_rel(s, h, n):
@@ -324,11 +373,17 @@ def _annihilation_terms(psi, d1, d2, d3, xs, beta, beta_p):
 
 def _annihilation_rel(s, h, n):
     # The third-order lowering operator annihilates the extremal state 1/u.
-    xs, (_, _, beta, beta_p) = s.xs, s.values
+    # Offset 0 is the grid; offsets +-1/2 are the partner stencil's +-1 for
+    # step h/2 wherever the two caps leave the same step.
+    xs, (u, _, beta, beta_p) = s.xs, s.values
     step = _capped(h, beta, _ORDER3_CAP)
     offsets = [c * step for c in _D3_OFFSETS]
+    half, partner_u, _ = s.partner(0.5 * h)
+    same = 0.5 * step == half
+    known = [(0, _ALL, u), (3, same, partner_u[1]), (4, same, partner_u[2])]
+    psi = _on_offsets(lambda t: seed.seed_u(s.params, t), xs, offsets, known=known)
     with np.errstate(all="ignore"):
-        psi = _on_offsets(lambda t: 1.0 / seed.seed_u(s.params, t), xs, offsets)
+        np.divide(1.0, psi, out=psi)
         d1, d2, d3 = _d1(psi[1:5], step), _d2(psi[:5], step), _d3(psi, step)
         terms = _annihilation_terms(psi[0], d1, d2, d3, xs, beta, beta_p)
         return _relative(terms), {}

@@ -119,9 +119,11 @@ class TestSpectrum:
         assert spectrum_degenerate(params, 1) is True
         assert spectrum_degenerate(SET_1, 10) is False
 
-    def test_negative_n_max_rejected(self):
-        with pytest.raises(ValueError):
-            spectrum(SET_1, -1)
+    @pytest.mark.parametrize("fn", [spectrum, spectrum_degenerate], ids=lambda fn: fn.__name__)
+    def test_negative_n_max_rejected(self, fn):
+        # Both halves of the CLI's spectrum command validate alike.
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(SET_1, -1)
 
     @pytest.mark.parametrize("n_max", [MAX_POINTS - 1, 10**18])
     def test_n_max_past_the_row_limit_rejected(self, n_max):

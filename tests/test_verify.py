@@ -20,8 +20,8 @@ from susypiv import (
     seed_u,
     threshold_for,
 )
-from susypiv import cli, kummer, seed, susy, verify
-from susypiv.grid import singular
+from susypiv import cli, kummer, oscillator, seed, susy, verify
+from susypiv.grid import MAX_POINTS, singular
 from susypiv.verify import BENCHMARK_PARAMS, THRESHOLDS
 
 SET_1 = BENCHMARK_PARAMS[0]
@@ -167,11 +167,19 @@ class TestStencilEngine:
 
     def test_default_verify_call_count(self, monkeypatch):
         # One seed evaluation per stencil chunk, not per stencil point, and
-        # one on the grid per parameter set: a default single-set run (11
-        # reports on 1001 points) takes 8; one grid evaluation per report
-        # took 26, one call per stencil offset 194, and the nested
-        # annihilation lattice 37.  The seed evaluates its Taylor chain, so no kummer_m
-        # call is left at all.
+        # each position summed once per parameter set: a default single-set
+        # run (11 reports on 1001 points) takes 5 evaluations over 13,417
+        # points.  The grid (1001); riccati's stencil (4004); the partner
+        # stencil's four nonzero offsets (4004), whose u schrodinger reads
+        # where the cap leaves its step at h (every point here); annihilation's
+        # offsets +-1 and +-2 (4004), and its +-1/2 where they are not the
+        # partner's +-1 (2 x 202), in two chunks.  Summing the partner
+        # stencil's centre again takes 6 evaluations, schrodinger's stencil
+        # 7, annihilation's rows +-1/2 15,015 points and its centre too
+        # 16,016; with no shared rows it took 8 over 22,022 points, one grid
+        # evaluation per report 26, one call per stencil offset 194, and the
+        # nested annihilation lattice 37.  The seed evaluates its Taylor
+        # chain, so no kummer_m call is left at all.
         calls = []
         original = kummer.kummer_m
 
@@ -194,7 +202,7 @@ class TestStencilEngine:
         )
         assert cli.run(config, io.StringIO()) == 0
         assert calls == []
-        assert 0 < len(evaluations) <= 8
+        assert (len(evaluations), sum(evaluations)) == (5, 13_417)
 
     def test_verify_all_builds_one_chain_per_set(self, monkeypatch):
         # The seed caches the last parameter set's Taylor chain, and --all
@@ -323,19 +331,29 @@ class TestSharedGridState:
             assert reports == [_alone(kind, params, default_grid, n) for kind, n, _ in plan]
 
     def test_horner_sums_per_verify_run(self, monkeypatch):
-        # One sum per position set of a parameter set: the grid (1),
-        # schrodinger's stencil (2 chunks), riccati's (1), the partner-state
-        # stencil that eigen(0..3) and new_state share (2) and annihilation's
-        # (2).  Without the shared partner stencil a default run sums 16 times,
-        # and with no shared state at all 26.
+        # One sum per chunk of positions not summed before on the parameter
+        # set: the grid (1), riccati's stencil (1), the partner-state stencil
+        # but its centre (1), which schrodinger, eigen(0..3) and new_state
+        # read, and what annihilation does not read from the grid and the
+        # partner stencil (2).  With schrodinger's stencil summed apart and
+        # the partner's centre summed again a default run summed 8 times,
+        # without the shared partner stencil 16, and with no shared state at
+        # all 26.  The points summed pin annihilation's share, which leaves
+        # its chunk count as it is: 66,835 for --all, 110,110 with no rows
+        # shared.
         sums = []
         horner = seed._horner
-        monkeypatch.setattr(seed, "_horner", lambda *args: sums.append(1) or horner(*args))
+
+        def counting(table, index, t, terms, derivative):
+            sums.append(t.size)
+            return horner(table, index, t, terms, derivative)
+
+        monkeypatch.setattr(seed, "_horner", counting)
         assert cli.run(cli.RunConfig(command="verify", **_SET_1_FLAGS), io.StringIO()) == 0
-        assert len(sums) == 8
+        assert len(sums) == 5
         sums.clear()
         assert cli.run(cli.RunConfig(command="verify", run_all=True), io.StringIO()) == 0
-        assert len(sums) == 40
+        assert (len(sums), sum(sums)) == (25, 66_835)
 
     @pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
     def test_reports_are_identical_in_the_scope(self, default_grid, params):
@@ -388,7 +406,9 @@ class TestSharedGridState:
         # The shared state holds the partner-state stencil for the whole
         # parameter set: u and beta at 5 offsets, 160 bytes a grid point
         # (10,001 points here), where each report would hold it only while it
-        # runs.  Nothing more may stay.
+        # runs, and from eigen(0) on the oscillator's last two levels on it,
+        # 80 bytes a point, which each report alone builds too; the peaks
+        # differ by 0.77 MB.  Nothing more may stay.
         config = cli.RunConfig(command="verify", step=1e-3, **_SET_1_FLAGS)
         points = config.grid().n_points
         assert cli.run(config, io.StringIO()) == 0
@@ -427,6 +447,79 @@ def test_partner_checks_difference_the_library_states(params, default_grid, monk
     library.append(susy.new_state(params, positions))
     for got, want in zip(differenced, library, strict=True):
         np.testing.assert_array_equal(got, want)
+
+
+# Two wide-domain sets on which rows are only partly shared: on the first the
+# partner's cap binds at 76 of 1401 points, so schrodinger sums its stencil
+# there; on the second annihilation's offsets +-1/2 are the partner's +-1 at
+# only 22 of 2401 points.
+_PARTLY_SHARED = [
+    (TransformParams(complex(21.9257, 0.3725), 1.073, 0.562), Grid(-7.0, 7.0, 0.01)),
+    (TransformParams(complex(-40.3465, 1.037), 1.424, 0.676), Grid(-12.0, 12.0, 0.01)),
+]
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestSharedRows:
+    @pytest.mark.parametrize("params, grid", _PARTLY_SHARED, ids=["capped", "half-shared"])
+    def test_rows_are_the_seed_at_their_positions(self, params, grid, monkeypatch):
+        # Each row a kind differences is the library's value at that kind's
+        # own positions, bit for bit, whether read from the state or summed.
+        xs = grid.points()
+        _, _, beta, _ = seed.seed_eval_grid(params, xs)
+        step2 = verify._capped(verify._H_ORDER2, beta)
+        step3 = verify._capped(verify._H_ORDER3, beta, verify._ORDER3_CAP)
+        shared = 0.5 * step3 == step2
+        counts = np.count_nonzero(step2 != verify._H_ORDER2), np.count_nonzero(shared)
+        assert counts == {1401: (76, 787), 2401: (0, 22)}[xs.size]
+        differenced = []
+        for name in ("_d2", "_d3"):
+            d = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda v, h, d=d: differenced.append(v) or d(v, h))
+
+        def rows(kind, n=None):
+            differenced.clear()
+            residual_report(kind, params, grid, n=n)
+            return differenced[-1]
+
+        with verify.shared():
+            got = [rows("schrodinger"), *(rows("eigen", n) for n in range(4)), rows("annihilation")]
+
+        def at(offsets, step):
+            return np.stack([xs + c * step for c in offsets])
+
+        partner = at(verify._D2_OFFSETS, step2)
+        want = [seed.seed_u(params, at(verify._D2_OFFSETS, verify._H_ORDER2))]
+        want += [susy.partner_eigenfunction(params, n, partner) for n in range(4)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want.append(1.0 / seed.seed_u(params, at(verify._D3_OFFSETS, step3)))
+        for g, w in zip(got, want, strict=True):
+            _same_bits(g, w)
+
+    @pytest.mark.parametrize("params, grid", _PARTLY_SHARED, ids=["capped", "half-shared"])
+    def test_scoped_reports_equal_bare_ones_in_any_order(self, params, grid, monkeypatch):
+        # The state advances the oscillator one level per eigen report: in
+        # order the recurrence starts from psi_0 once; a level asked below
+        # the last one starts it again, with the same bits.
+        plan = [(kind, n) for kind, n, _ in verify.report_plan()]
+        unordered = [("eigen", 2), ("eigen", 1), ("annihilation", None), ("eigen", 3), ("eigen", 0)]
+        bare = {(kind, n): _alone(kind, params, grid, n) for kind, n in plan}
+        starts = []
+        levels = oscillator._levels
+        monkeypatch.setattr(
+            oscillator,
+            "_levels",
+            lambda n, t, start=None: starts.append(start is None) or levels(n, t, start),
+        )
+        for calls, runs in ((plan, 1), (unordered, 3)):
+            starts.clear()
+            with verify.shared():
+                scoped = [_alone(kind, params, grid, n) for kind, n in calls]
+            assert scoped == [bare[call] for call in calls]
+            assert starts.count(True) == runs and len(starts) == 4
 
 
 def _nested_fd1(fn, xs, h):
@@ -570,3 +663,18 @@ def test_grid_validation():
         Grid(0.0, 1e6, 1e-9)
     grid = Grid(-1.0, 1.0, 0.5)
     np.testing.assert_array_equal(grid.points(), [-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+def test_grid_point_limit():
+    # The limit counts points, as the spectrum's row limit does: 10^7 + 1
+    # points is one too many, also where the span in steps is infinite.
+    for xmin, xmax, step in [(0.0, 1e7, 1.0), (0.0, 1.0, 5e-324), (-1e308, 1e308, 1.0)]:
+        with pytest.raises(ValueError, match="grid too fine"):
+            Grid(xmin, xmax, step)
+    tracemalloc.start()
+    try:
+        grid = Grid(0.0, 1e7 - 1, 1.0)
+        assert grid.n_points == MAX_POINTS
+        assert tracemalloc.get_traced_memory()[1] < 2**16  # no points are built
+    finally:
+        tracemalloc.stop()
