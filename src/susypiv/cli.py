@@ -9,7 +9,9 @@ Each block of ``_BLOCK`` points is computed, stripped of its rows with a
 non-finite float, and turned into bytes by ``text.rows`` in turn, so the
 working set does not grow with the grid.  ``text.rows`` formats the floats
 in numpy to the exact text of ``%.17g`` (CSV) or ``repr`` (JSON), with
-CPython's formatter only for the few values it cannot certify.  The bytes go
+CPython's formatter only for the few values it cannot certify; a column that
+holds one value in a block (Im V of a real seed) is formatted once and
+written as text between its neighbours' cells.  The bytes go
 to a temporary file that replaces ``--output`` only when the command succeeds;
 ``verify --output`` writes its JSON report the same way.
 Complex columns are serialized as separate real/imaginary fields so the

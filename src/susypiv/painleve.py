@@ -10,9 +10,10 @@ closed forms in terms of the seed log-derivative:
     family 3:  1/u                      energy eps
 
 so g, g', g'' never need numerical differentiation: h' = (V~ - E) - h^2 and
-h'' = V~' - 2 h h' close the chain.  These formulas live in
-``family_grid_eval`` alone, which takes arrays of positions and returns the
-formulas' denominators for the singular-point rule of ``grid.singular``.
+h'' = V~' - 2 h h' close the chain.  Each family's row of ``_FAMILY_TABLE``
+holds its extremal state; ``family_grid_eval`` takes arrays of positions and
+returns g, g', g'' with the formulas' denominators for the singular-point
+rule of ``grid.singular``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class _Family:
     energy: object  # complex eps -> energy of the extremal state
     parameters: object  # complex eps -> (a, b) of the family's Painleve IV equation
     b_of_a: object  # complex a -> the b that a pins within the family
+    state: object  # (xs, u, beta, beta') -> the extremal state at xs
 
 
 _FAMILY_TABLE = {
@@ -38,16 +40,19 @@ _FAMILY_TABLE = {
         energy=lambda eps: eps + 2.0,
         parameters=lambda eps: (-(eps + 5.0) / 2.0, -((eps - 1.0) ** 2) / 2.0),
         b_of_a=lambda a: -2.0 * (a + 3.0) ** 2,
+        state=lambda xs, u, beta, beta_prime: (beta_prime - 1.0) * u,
     ),
     2: _Family(
         energy=lambda eps: complex(1.0),
         parameters=lambda eps: (eps - 1.0, complex(-2.0)),
         b_of_a=lambda a: complex(-2.0),
+        state=lambda xs, u, beta, beta_prime: (xs + beta) * np.exp(-0.5 * xs * xs),
     ),
     3: _Family(
         energy=lambda eps: eps,
         parameters=lambda eps: ((1.0 - eps) / 2.0, -((eps + 1.0) ** 2) / 2.0),
         b_of_a=lambda a: -2.0 * (a - 1.0) ** 2,
+        state=lambda xs, u, beta, beta_prime: 1.0 / u,
     ),
 }
 FAMILIES = tuple(_FAMILY_TABLE)
@@ -138,12 +143,8 @@ def _from_seed(params: TransformParams, family: int, xs, beta, beta_prime):
 
 def extremal_state_grid(params: TransformParams, family: int, xs):
     """Unnormalized extremal-state samples over an array of positions."""
-    _family(family)
+    state = _family(family).state
     xs = np.asarray(xs, dtype=float)
     u, _, beta, beta_prime = seed.seed_eval_grid(params, xs)
-    if family == 1:
-        return (beta_prime - 1.0) * u
-    if family == 2:
-        return (xs + beta) * np.exp(-0.5 * xs * xs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 / u
+        return state(xs, u, beta, beta_prime)

@@ -64,6 +64,11 @@ _CUT = 2.0**-80
 _TRIM = 1e-18
 _MAX_CENTRES = 8192
 _RANGE = 1e307
+# By k, the floats (k+1)(k+2), k+3 and (k+2)(k+3) of the recurrence step that
+# gives c_{k+2}: its divisor, the factor of |c_{k+2}| checked against _RANGE
+# and the bound that m(m+1) must reach for m = k+2.  A complex divided by an
+# int or by the equal float takes the same double.
+_STEPS = tuple((float((k + 1) * (k + 2)), float(k + 3), float((k + 2) * (k + 3))) for k in range(_TERMS - 2))
 
 
 @dataclass(frozen=True)
@@ -115,31 +120,36 @@ def _series(x0: float, c0: complex, c1: complex, eps: complex, h: float):
     """
     q = x0 * x0 - eps
     two_x0 = 2.0 * x0
-    c = [0j, 0j, c0, c1]  # two leading zeros stand in for c_{-2}, c_{-1}
+    c = [c0, c1]
+    # c_{k-2}, c_{k-1}, c_k, c_{k+1}: two zeros stand in for c_{-2}, c_{-1}.
+    back2, back1, now, ahead = 0j, 0j, c0, c1
     try:
         twice_g = 2.0 * (abs(q) * h * h + 2.0 * abs(x0) * h**3 + h**4)
         size0, size1 = abs(c0), abs(c1)
         if not (size0 <= _RANGE and 2.0 * size1 <= _RANGE):
             return None
         top = max(size0, size1 * h)
+        cut = _CUT * top
         scale = h
-        small = 0  # trailing weights below _CUT * top
-        for k in range(_TERMS - 2):
-            ck = (q * c[k + 2] + two_x0 * c[k + 1] + c[k]) / ((k + 1) * (k + 2))
+        small = 0  # trailing weights below cut
+        for divisor, span, reach in _STEPS:
+            ck = (q * now + two_x0 * back1 + back2) / divisor
             c.append(ck)
+            back2, back1, now, ahead = back1, now, ahead, ck
             size = abs(ck)
-            if not (k + 3) * size <= _RANGE:
+            if not span * size <= _RANGE:
                 return None
             scale *= h
             weight = size * scale
             if weight > top:
                 top = weight
-            small = small + 1 if weight < _CUT * top else 0
-            if small >= 4 and twice_g <= (k + 2) * (k + 3):
+                cut = _CUT * top
+            small = small + 1 if weight < cut else 0
+            if small >= 4 and twice_g <= reach:
                 break
     except OverflowError:  # Python's abs of a complex past the double range
         return None
-    return c[2:]
+    return c
 
 
 def _sum_at(c: list, t: float):

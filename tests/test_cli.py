@@ -465,11 +465,14 @@ def _reference_rows(config):
         values = cli.painleve.extremal_state_grid(params, config.family, xs)
         keep = _reference_keep_finite(xs, values.real, values.imag)
         return [(float(x), float(v.real), float(v.imag)) for x, v in zip(xs[keep], values[keep])]
-    g, gp, gpp, _ = cli.painleve.family_grid_eval(params, config.family, xs)
+    g, gp, gpp, denominators = cli.painleve.family_grid_eval(params, config.family, xs)
     a, b = cli.painleve.piv_parameters(params, config.family)
     with np.errstate(all="ignore"):
         terms = cli.painleve.piv_residual_terms(g, gp, gpp, xs, a, b)
         resid = cli.painleve.piv_residual_sum(terms)
+    # A row where a family denominator is singular is dropped, finite or not.
+    for mag, scale in denominators.values():
+        resid[singular(mag, scale)] = np.nan
     keep = _reference_keep_finite(xs, g.real, g.imag, resid.real, resid.imag)
     return [
         (float(x), float(gv.real), float(gv.imag), float(rv.real), float(rv.imag))
@@ -488,8 +491,20 @@ def _reference_text(config) -> str:
 
 
 # -1+i and 3+1e-3i are benchmark sets; eps = 5 with lambda = kappa = 0 has real
-# nodes, and family 2 drops its row at x = 0, where x + beta vanishes.
-PIN_SETS = {"-1+1i": (-1.0, 1.0, 1.0, 1.0), "5": (5.0, 0.0, 0.0, 0.0), "3+1e-3i": (3.0, 1e-3, 2.0, 2.0)}
+# nodes, and family 2 drops its row at x = 0, where x + beta vanishes.  The
+# two real seeds (real eps, kappa = 0) have Im V, Im g and the residual's
+# imaginary part +0.0 at every point, columns that text.rows writes once as
+# text; their extremal states' imaginary parts mix 0.0 and -0.0 for eps = 3
+# (families 1 and 3), which must not fold.  Family 1 at eps = -1 drops the
+# two rows where beta' - 1 is singular.
+PIN_SETS = {
+    "-1+1i": (-1.0, 1.0, 1.0, 1.0),
+    "5": (5.0, 0.0, 0.0, 0.0),
+    "3+1e-3i": (3.0, 1e-3, 2.0, 2.0),
+    "3 real": (3.0, 0.0, 1.0, 0.0),
+    "-1 real": (-1.0, 0.0, 0.5, 0.0),
+}
+DROPPED = {("5", "piv", 2): 1, ("-1 real", "piv", 1): 2}
 PIN_COMMANDS = [("potential", None), ("spectrum", None)] + [
     (name, family) for name in ("piv", "extremal") for family in (1, 2, 3)
 ]
@@ -513,7 +528,7 @@ def test_column_writer_matches_the_per_row_writer(monkeypatch, tmp_path, set_id,
         monkeypatch.setattr(cli, "_BLOCK", block)
         assert run(config) == 0
         assert out.read_bytes() == want, (block, set_id, command, family, fmt)
-    dropped = (set_id, command, family) == ("5", "piv", 2)
+    dropped = DROPPED.get((set_id, command, family), 0)
     assert len(_reference_rows(config)) == (12 if command == "spectrum" else 201 - dropped)
 
 

@@ -228,6 +228,135 @@ def test_rows_of_a_block_take_equal_passes(monkeypatch, n_columns, passes):
     assert got == want.encode()
 
 
+def _cell(value, shortest):
+    """The per-row text of one cell, by CPython."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    return repr(float(value)) if shortest else "%.17g" % value
+
+
+def _joined(blocks, pieces, sep, shortest):
+    """``text.rows`` over consecutive blocks of columns, joined as the CLI
+    joins them, and the per-row CPython text of all their rows."""
+    got = sep.encode().join(b"".join(text.rows(b, pieces, sep, shortest)) for b in blocks)
+    columns = [np.concatenate(c) for c in zip(*blocks)]
+    want = sep.join(
+        pieces[0] + "".join(_cell(c[r], shortest) + p for c, p in zip(columns, pieces[1:]))
+        for r in range(columns[0].size)
+    )
+    return got, want.encode()
+
+
+def _counted_cells(monkeypatch):
+    """The sizes of the value arrays that ``text._cells`` formats, as they
+    come."""
+    sizes = []
+    cells = text._cells
+    monkeypatch.setattr(text, "_cells", lambda *args: sizes.append(args[1].size) or cells(*args))
+    return sizes
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+def test_a_constant_column_is_formatted_once(monkeypatch, at, style):
+    # A column of 0.1 (0.10000000000000001 at .17g) among two varying ones,
+    # in passes of a few rows: its cell is formatted on one row, the others
+    # on all 40, and every row is the CPython text.  In JSON the folded
+    # column's key moves into the text around it.
+    monkeypatch.setattr(text, "_CHUNK", 16)
+    sizes = _counted_cells(monkeypatch)
+    rng = np.random.default_rng(10)
+    columns = [rng.standard_normal(40), rng.standard_normal(40) * 1e-7]
+    columns.insert(at, np.full(40, 0.1))
+    shortest = STYLES[style]
+    got, want = _joined([columns], ["", ",", ",", ""], "\n", shortest)
+    assert got == want
+    assert sizes.count(1) == 1 and sum(sizes) == 1 + 2 * 40
+    if shortest:
+        got = b"".join(text.rows(columns, ['{"a": ', ', "b": ', ', "c": ', "}"], ", ", shortest))
+        rows = [dict(zip("abc", map(float, row))) for row in zip(*columns)]
+        assert b"[" + got + b"]" == json.dumps(rows).encode()
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_zeros_of_both_signs_do_not_fold(monkeypatch, style):
+    # 0.0 and -0.0 compare equal but read "0" and "-0": a column mixing them
+    # is formatted on every row, and one of -0.0 alone folds to "-0".
+    sizes = _counted_cells(monkeypatch)
+    mixed = np.zeros(20)
+    mixed[::3] = -0.0
+    columns = [np.arange(20.0), mixed, np.full(20, -0.0)]
+    got, want = _joined([columns], ["", ",", ",", ""], "\n", STYLES[style])
+    assert got == want and want.count(b"-0") == 7 + 20
+    assert sorted(sizes) == [1, 40]
+
+
+def test_constant_flag_and_integer_columns_fold(monkeypatch):
+    # Boolean and integer columns fold by equality: only the varying float
+    # column goes through the passes; the integer keeps its '%d' text.
+    sizes = _counted_cells(monkeypatch)
+    n = 30
+    columns = [np.zeros(n, dtype=bool), np.linspace(-1.0, 1.0, n), np.full(n, 2**53), np.ones(n, dtype=bool)]
+    pieces = ['{"a": ', ', "x": ', ', "i": ', ', "b": ', "}"]
+    got = b"".join(text.rows(columns, pieces, ", ", shortest=True))
+    rows = [{"a": False, "x": float(x), "i": 2**53, "b": True} for x in columns[1]]
+    assert b"[" + got + b"]" == json.dumps(rows).encode()
+    assert sorted(sizes) == [1, n]
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_a_column_constant_in_one_block_only(monkeypatch, style):
+    # Blocks of 25 rows: the middle column is 0.0 in the first block and
+    # varies in the second, so it folds in the first alone.
+    monkeypatch.setattr(text, "_CHUNK", 8)
+    sizes = _counted_cells(monkeypatch)
+    x = np.linspace(-5.0, 5.0, 50)
+    middle = np.where(x < 0.0, 0.0, x * x)
+    blocks = [[x[:25], middle[:25], -x[:25]], [x[25:], middle[25:], -x[25:]]]
+    got, want = _joined(blocks, ["(", ", ", ", ", ")"], ";\n", STYLES[style])
+    assert got == want
+    assert sum(sizes) == 1 + 2 * 25 + 3 * 25
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_one_row_and_all_constant_blocks(monkeypatch, style):
+    # A one-row block formats its cells as they are, both floats in one
+    # pass; a block whose every column is constant is one text repeated, in
+    # chunks of _CHUNK rows, whose cells are formatted once each.
+    monkeypatch.setattr(text, "_CHUNK", 4)
+    sizes = _counted_cells(monkeypatch)
+    shortest = STYLES[style]
+    one = [np.array([1e-7]), np.array([True]), np.array([-0.0])]
+    same = [np.full(11, 1e-7), np.ones(11, dtype=bool), np.full(11, -0.0)]
+    for blocks in ([one], [same], [one, same, one]):
+        got, want = _joined(blocks, ["[", " ", " ", "]"], "\n", shortest)
+        assert got == want
+    assert sizes == [2] + [1, 1] + [2, 1, 1, 2]
+    assert b"".join(text.rows(same, ["", ",", ",", ""], "")) == b"%.17g,true,-0" % 1e-7 * 11
+
+
+@pytest.mark.parametrize("shortest", [False, True], ids=["csv", "json"])
+def test_real_seed_potential_formats_only_its_varying_columns(monkeypatch, shortest):
+    # For a real seed (real eps, kappa = 0) Im V is +0.0 at every point: of
+    # the five potential columns, only x, Re V and x^2 go through the passes
+    # at every row, and Im V and im_v are formatted once each.  Without the
+    # fold this block would send 5 * 8192 values.
+    from susypiv import cli
+
+    config = cli.RunConfig(command="potential", epsilon_re=3.0, lam=1.0, xmin=-5.0, xmax=5.0, step=1e-3)
+    header, columns = cli._COMMANDS["potential"]
+    (block,) = list(cli._blocks(config, columns))[:1]
+    n = block[0].size
+    assert n == cli._BLOCK
+    sizes = _counted_cells(monkeypatch)
+    _, pieces, sep, _ = cli._layout(config, header)
+    got, want = _joined([block], pieces, sep, shortest)
+    assert got == want
+    assert sizes.count(1) == 2 and sum(sizes) == 2 + 3 * n
+
+
 def test_importing_the_cli_leaves_the_tables_unbuilt():
     # The module is loaded by the first data command and its tables (a few
     # ms) are built on the first formatted chunk, not when the CLI starts.
