@@ -33,16 +33,15 @@ def eigenfunction_derivative(n: int, x):
     return on_points(lambda xs: (_with_derivative(n, xs)[1], None), x)
 
 
-def _levels(n: int, xs, start=None):
+def _levels(n: int, xs):
     """(psi_{n-1}, psi_n) on the array ``xs`` from one run of the recurrence;
-    psi_{-1} is None.  ``start`` = (k, psi_{k-1}, psi_k) on ``xs``, k <= n,
-    resumes a run at level k instead of at psi_0."""
+    psi_{-1} is None."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_DEGREE:
         raise DegreeTooLarge(f"n={n} beyond stable recurrence range {MAX_DEGREE}")
-    level, prev, cur = start or (0, None, math.pi ** -0.25 * np.exp(-0.5 * xs * xs))
-    for k in range(level, n):
+    prev, cur = None, math.pi ** -0.25 * np.exp(-0.5 * xs * xs)
+    for k in range(n):
         if k == 0:
             prev, cur = cur, math.sqrt(2.0) * xs * cur
         else:
@@ -50,10 +49,9 @@ def _levels(n: int, xs, start=None):
     return prev, cur
 
 
-def _with_derivative(n: int, xs, levels=None):
-    """(psi_n, psi_n') on the array ``xs`` from ``levels`` = (psi_{n-1}, psi_n)
-    there, by default from one run of the recurrence."""
-    prev, cur = levels or _levels(n, xs)
+def _with_derivative(n: int, xs):
+    """(psi_n, psi_n') on the array ``xs`` from one run of the recurrence."""
+    prev, cur = _levels(n, xs)
     out = -xs * cur
     if n > 0:
         out = out + math.sqrt(2.0 * n) * prev

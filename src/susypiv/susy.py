@@ -42,10 +42,10 @@ def partner_potential(params: TransformParams, x):
     return _on_seed(params, x, lambda xs, u, beta, beta_prime: xs * xs - 2.0 * beta_prime)
 
 
-def _image(n: int, xs, beta, levels=None):
+def _image(n: int, xs, beta):
     """-psi_n' + beta psi_n at the positions ``xs`` (an array), for the seed's
-    ``beta`` there; ``levels`` as for ``oscillator._with_derivative``."""
-    psi, d_psi = oscillator._with_derivative(n, xs, levels)
+    ``beta`` there."""
+    psi, d_psi = oscillator._with_derivative(n, xs)
     return -d_psi + beta * psi
 
 
@@ -69,14 +69,8 @@ def level_annihilated(params: TransformParams, n: int) -> bool:
 
 
 def new_state(params: TransformParams, x):
-    """The eigenstate at the factorization energy: 1/u; only a screened scalar needs u'."""
-
-    def values(xs):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inverse = 1.0 / seed.seed_u(params, xs)
-        return inverse, lambda: seed.u_denominator(*seed.seed_eval_grid(params, xs)[:2])
-
-    return on_points(values, x)
+    """The eigenstate at the factorization energy: 1/u."""
+    return _on_seed(params, x, lambda xs, u, beta, beta_prime: 1.0 / u)
 
 
 def _within_rows(n_max: int) -> None:

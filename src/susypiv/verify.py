@@ -25,18 +25,17 @@ flattens the stack and evaluates the function over it in chunks of at most
 offset, and the series work space of each call stays bounded.
 
 Every kind reads the seed from one ``_GridState``: u, u', beta and beta' on
-the grid, the points that the denominator u excludes, u and beta on the
-partner-state stencil (step h = 1e-3 capped by beta), and the oscillator's
-(psi_{n-1}, psi_n) there; each is built on first use.  A stencil row whose
-positions equal, as doubles, positions already summed is read, not summed:
+the grid, the points that the denominator u excludes, and u and beta on the
+partner-state stencil (step h = 1e-3 capped by beta); each is built on first
+use.  A stencil row whose positions equal, as doubles, positions already
+summed is read, not summed:
 
 - the partner stencil's centre is u and beta on the grid, and only its four
   other offsets are summed;
 - schrodinger (step h, uncapped) reads u from the partner stencil where the
   cap leaves the partner's step at h, and sums its stencil elsewhere;
 - eigen(0..3) and new_state difference -psi_n' + beta psi_n and 1/u on the
-  partner stencil, and eigen(n) advances the pair the previous eigen(n-1)
-  left, so the Gaussian and the recurrence run once per parameter set;
+  partner stencil;
 - annihilation, which differences 1/u, reads u on the grid for its centre
   and u at the partner stencil's offsets +-1 for its offsets +-1/2 where
   half its step is the partner's; the rest of its stencil is summed in one
@@ -54,11 +53,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import oscillator, painleve, seed, susy
+from . import painleve, seed, susy
 from .errors import AllPointsExcluded, EvaluationFailed, LevelAnnihilated, SusypivError
 from .grid import Grid, on_points, singular
 from .seed import TransformParams
@@ -116,16 +116,14 @@ def _excluded(mag, local_scale):
 class _GridState:
     """The seed on the grid of one parameter set, read by every kind: ``xs``,
     ``values`` = (u, u', beta, beta') there, ``u_excluded``, the points that
-    the denominator u excludes, ``partner(h)``, the partner-state stencil, and
-    ``levels(h, n, t)``, the oscillator on it.  Each is built on first use;
-    all but the oscillator's pair, which the next level replaces, read-only."""
+    the denominator u excludes, and ``partner(h)``, the partner-state
+    stencil.  Each is built on first use and read-only."""
 
     def __init__(self, params: TransformParams, grid: Grid):
         self.params = params
         self.xs = grid.points()
         self.xs.flags.writeable = False
         self._partner = None  # (h, step, u, beta) of the last partner(h)
-        self._levels = None  # (h, n, psi_{n-1}, psi_n) of the last levels(h, n, t)
 
     @functools.cached_property
     def values(self):
@@ -159,17 +157,6 @@ class _GridState:
             self._partner = (h, step, u, beta)
         return self._partner[1:]
 
-    def levels(self, h, n, t):
-        """(psi_{n-1}, psi_n) at the positions ``t`` of ``partner(h)``'s
-        stencil: the pair of the last call advanced when that asked for this
-        h and a level up to n, else a run of the recurrence from psi_0."""
-        start = None
-        if self._levels is not None and self._levels[0] == h and self._levels[1] <= n:
-            start = self._levels[1:]
-        prev, cur = oscillator._levels(n, t, start)
-        self._levels = (h, n, prev, cur)
-        return prev, cur
-
 
 # The grid states kept while ``shared()`` is open, by (seed._key(params), grid):
 # the one most recently asked for.
@@ -202,11 +189,14 @@ def _grid_state(params: TransformParams, grid: Grid) -> _GridState:
 
 
 def _step(h, default):
-    """The stencil step: ``default`` when ``h`` is None, else ``h`` checked."""
+    """The stencil step: ``default`` when ``h`` is None, else ``h`` checked:
+    positive, finite, and with ``_d3``'s divisor 0.25 h^3 a normal double."""
     if h is None:
         return default
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be positive and finite, got {h!r}")
+    if 0.25 * h * h * h < sys.float_info.min:
+        raise ValueError(f"h is too small to difference with, got {h!r}")
     return h
 
 
@@ -270,17 +260,14 @@ def _on_offsets(fn, xs, offsets, rows=(), known=()):
     """
     points = np.stack([xs + d for d in offsets])
     out = np.empty(rows + points.shape, dtype=complex)
-    if known:
-        todo = np.ones(points.shape, dtype=bool)
-        for k, where, values in known:
-            np.copyto(out[..., k, :], values, where=where)
-            todo[k] = ~where
-        index = np.flatnonzero(todo)
-        chunks = [index[start : start + _CHUNK] for start in range(0, index.size, _CHUNK)]
-    else:
-        chunks = [slice(start, start + _CHUNK) for start in range(0, points.size, _CHUNK)]
+    todo = np.ones(points.shape, dtype=bool)
+    for k, where, values in known:
+        np.copyto(out[..., k, :], values, where=where)
+        todo[k] = ~where
+    index = np.flatnonzero(todo)
     flat, dest = points.ravel(), out.reshape((-1, points.size))
-    for chunk in chunks:
+    for start in range(0, index.size, _CHUNK):
+        chunk = index[start : start + _CHUNK]
         # Row by row: numpy scatters one axis at a time far faster.
         for row, values in zip(dest, np.reshape(fn(flat[chunk]), (len(dest), -1))):
             row[chunk] = values
@@ -351,7 +338,7 @@ def _eigen_rel(s, h, n):
         # Any residual would be relative to a state at rounding level.
         raise LevelAnnihilated(f"eigen({n}): -psi_n' + beta psi_n vanishes identically")
     # susy.partner_eigenfunction's image of psi_n, on the partner stencil.
-    image = lambda t, u, beta: susy._image(n, t, beta, s.levels(h, n, t))
+    image = lambda t, u, beta: susy._image(n, t, beta)
     return _state_rel(s, h, image, float(2 * n + 1))
 
 

@@ -20,7 +20,7 @@ from susypiv import (
     seed_u,
     threshold_for,
 )
-from susypiv import cli, kummer, oscillator, seed, susy, verify
+from susypiv import cli, kummer, seed, susy, verify
 from susypiv.grid import MAX_POINTS, singular
 from susypiv.verify import BENCHMARK_PARAMS, THRESHOLDS
 
@@ -47,6 +47,7 @@ class TestFdDerivative:
         got = fd_derivative(lambda t: seed_u(SET_1, t), 1.0, order=1)
         assert abs(got - ev.u_prime) <= 1e-7 * abs(ev.u_prime)
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_bad_order_and_step(self):
         with pytest.raises(ValueError):
             fd_derivative(lambda t: t, 0.0, order=3)
@@ -54,6 +55,11 @@ class TestFdDerivative:
             fd_derivative(lambda t: t, 0.0, order=1, h=0.0)
         with pytest.raises(ValueError):
             fd_derivative(lambda t: t, 0.0, order=1, h=float("nan"))
+        # 0.25 h^3 is below the smallest normal double: no order takes h.
+        with pytest.raises(ValueError, match="too small"):
+            fd_derivative(lambda t: t * t, 1.0, order=2, h=1e-170)
+        with pytest.raises(ValueError, match="too small"):
+            fd_derivative(lambda t: t, 1.0, order=1, h=1e-300)
 
     def test_singular_stencil_point_fails(self):
         def f(t):
@@ -140,8 +146,16 @@ class TestResidualReport:
             pytest.param("piv_family_3", None, 0, "no level n", id="piv_family_3-n0"),
             # The kind is checked before its arguments.
             pytest.param("bogus", -1.0, None, "unknown residual kind", id="bogus--1.0"),
+        ]
+        + [
+            # Steps below about 4.5e-103 make 0.25 h^3, the order-3 divisor,
+            # subnormal or 0: no difference can be taken.
+            pytest.param(kind, h, n, "too small", id=f"{kind}-{h}")
+            for kind, n in (("schrodinger", None), ("eigen", 0), ("new_state", None), ("annihilation", None))
+            for h in (1e-300, 4e-103)
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_rejects_bad_step(self, coarse_grid, kind, h, n, match):
         # h = 0 used to fall back silently to the default step.
         with pytest.raises(ValueError, match=match):
@@ -406,9 +420,7 @@ class TestSharedGridState:
         # The shared state holds the partner-state stencil for the whole
         # parameter set: u and beta at 5 offsets, 160 bytes a grid point
         # (10,001 points here), where each report would hold it only while it
-        # runs, and from eigen(0) on the oscillator's last two levels on it,
-        # 80 bytes a point, which each report alone builds too; the peaks
-        # differ by 0.77 MB.  Nothing more may stay.
+        # runs.  Nothing more may stay.
         config = cli.RunConfig(command="verify", step=1e-3, **_SET_1_FLAGS)
         points = config.grid().n_points
         assert cli.run(config, io.StringIO()) == 0
@@ -500,26 +512,16 @@ class TestSharedRows:
             _same_bits(g, w)
 
     @pytest.mark.parametrize("params, grid", _PARTLY_SHARED, ids=["capped", "half-shared"])
-    def test_scoped_reports_equal_bare_ones_in_any_order(self, params, grid, monkeypatch):
-        # The state advances the oscillator one level per eigen report: in
-        # order the recurrence starts from psi_0 once; a level asked below
-        # the last one starts it again, with the same bits.
+    def test_scoped_reports_equal_bare_ones_in_any_order(self, params, grid):
+        # A report reads the same bits from a shared state, whichever
+        # reports ran on it before.
         plan = [(kind, n) for kind, n, _ in verify.report_plan()]
         unordered = [("eigen", 2), ("eigen", 1), ("annihilation", None), ("eigen", 3), ("eigen", 0)]
         bare = {(kind, n): _alone(kind, params, grid, n) for kind, n in plan}
-        starts = []
-        levels = oscillator._levels
-        monkeypatch.setattr(
-            oscillator,
-            "_levels",
-            lambda n, t, start=None: starts.append(start is None) or levels(n, t, start),
-        )
-        for calls, runs in ((plan, 1), (unordered, 3)):
-            starts.clear()
+        for calls in (plan, unordered):
             with verify.shared():
                 scoped = [_alone(kind, params, grid, n) for kind, n in calls]
             assert scoped == [bare[call] for call in calls]
-            assert starts.count(True) == runs and len(starts) == 4
 
 
 def _nested_fd1(fn, xs, h):
