@@ -122,8 +122,8 @@ def _from_seed(params: TransformParams, family: int, xs, beta, beta_prime):
         beta_pp = 2.0 * xs - 2.0 * beta * beta_prime
         vt = xs * xs - 2.0 * beta_prime
         vt_prime = 2.0 * xs - 2.0 * beta_pp
-        # Denominator magnitudes are paired with their local scales so grid
-        # consumers can apply both the median rule and the absolute rule.
+        # Each denominator f comes as (|f|, 1 + |f'|), so grid consumers can
+        # judge a point by its distance to a zero of f and by the singular rule.
         denominators = {}
         if family == 3:
             h = -beta

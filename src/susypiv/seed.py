@@ -363,19 +363,15 @@ def real_case_lambda(nu: float, epsilon: float) -> float:
 def locate_real_zeros(params: TransformParams, grid: Grid):
     """Grid points adjacent to real zeros of u; an empty list means node-free.
 
-    A point qualifies when |u| drops below 1e-6 of the grid median, or when
-    the real and imaginary parts both change sign across an interval (a
-    component negligible over the whole grid counts as changing).
+    A point qualifies when it lies within 1e-6 of a zero of u, |u| <= 1e-6
+    |u'|, or when the real and imaginary parts both change sign across an
+    interval (a component negligible over the whole grid counts as
+    changing).
     """
     xs = grid.points()
-    u = seed_u(params, xs)
+    u, up, _, _ = seed_eval_grid(params, xs)
     au = np.abs(u)
-    med = float(np.median(au))
-    flagged = np.zeros(xs.shape, dtype=bool)
-    if med > 0.0:
-        flagged |= au < _ZERO_SCAN_REL * med
-    else:
-        flagged |= au == 0.0
+    flagged = au <= _ZERO_SCAN_REL * np.abs(up)
     for i in sign_change_brackets(u):
         flagged[i if au[i] <= au[i + 1] else i + 1] = True
     return [float(v) for v in xs[flagged]]

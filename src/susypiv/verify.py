@@ -101,16 +101,13 @@ class ResidualReport:
 
 
 def _excluded(mag, local_scale):
-    """The points that a denominator of magnitude ``mag`` excludes: below
-    EXCLUDE_REL of its grid median, singular by ``grid.singular`` or not
-    finite; every point where that median is 0 or not finite."""
+    """The points that a denominator f, given as ``mag`` = |f| and
+    ``local_scale`` = 1 + |f'|, excludes, each by its own values: within
+    EXCLUDE_REL of a zero of f (|f| < EXCLUDE_REL |f'|), singular by
+    ``grid.singular`` (which also catches an f at rounding level whose f' is
+    noise too, as on degenerate seeds) or not finite."""
     finite = np.isfinite(mag) & np.isfinite(local_scale)
-    med = float(np.median(mag[finite])) if bool(finite.any()) else 0.0
-    if med == 0.0 or not np.isfinite(med):
-        return np.ones(mag.shape, dtype=bool)
-    # Median rule for isolated dips, absolute rule for denominators that are
-    # rounding noise over the whole grid (degenerate seeds).
-    return (mag < EXCLUDE_REL * med) | singular(mag, local_scale) | ~finite
+    return (mag < EXCLUDE_REL * (local_scale - 1.0)) | singular(mag, local_scale) | ~finite
 
 
 class _GridState:
@@ -426,13 +423,14 @@ def residual_report(
 ) -> ResidualReport:
     """Relative residual statistics for one construction over a grid.
 
-    Points where a construction denominator falls below 1e-6 of its grid
-    median, or is singular by ``grid.singular``, are excluded and reported,
-    not failed.  Raises LevelAnnihilated for an eigen level whose transformed
-    state vanishes identically (``susy.level_annihilated``), and ValueError
-    for an unknown kind, for an ``h`` on a kind without a stencil or not
-    positive and finite, and for an ``n`` on any kind but eigen, which
-    requires 0 <= n <= 10.
+    A point within 1e-6 of a zero of a construction denominator f (|f| <
+    1e-6 |f'|), or where f is singular by ``grid.singular``, is excluded
+    and reported, not failed; each point is judged by its own values.
+    Raises LevelAnnihilated for an eigen level whose transformed state
+    vanishes identically (``susy.level_annihilated``), and ValueError for an
+    unknown kind, for an ``h`` on a kind without a stencil or not positive
+    and finite, and for an ``n`` on any kind but eigen, which requires
+    0 <= n <= 10.
     """
     row = KINDS.get(kind)
     if row is None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from susypiv import (
+    Grid,
     NoConvergence,
     PoleArgument,
     SingularPoint,
@@ -470,6 +471,18 @@ class TestLocateRealZeros:
     def test_ground_state_case_is_node_free(self, default_grid):
         # eps = 1, lam = kappa = 0: M(0, 1/2; x^2) = 1, u = e^{-x^2/2}.
         assert locate_real_zeros(TransformParams(epsilon=1.0), default_grid) == []
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param(TransformParams(epsilon=-1.0), id="eps-1"),
+            pytest.param(TransformParams(epsilon=complex(-40.3465, 1.037), lam=1.424, kappa=0.676), id="wide"),
+        ],
+    )
+    def test_node_free_on_a_wide_grid(self, params):
+        # On +-12 |u| spans many decades, so only a point's own u and u' can
+        # say whether it is near a zero.
+        assert locate_real_zeros(params, Grid(-12.0, 12.0, 0.01)) == []
 
     def test_polynomial_case_finds_both_nodes(self, default_grid):
         # u = e^{-x^2/2}(1 - 2x^2) vanishes at +-1/sqrt(2).

@@ -47,6 +47,27 @@ class TestPartnerPotential:
         mirrored = TransformParams(epsilon=SET_1.epsilon.conjugate(), lam=1.0, kappa=-1.0)
         assert bool(np.all(partner_potential(mirrored, xs) == np.conj(partner_potential(SET_1, xs))))
 
+    @pytest.mark.parametrize("symmetry", ["parity", "conjugation"])
+    def test_symmetries_hold_bit_for_bit(self, symmetry):
+        # V~(-x; eps, lam, kappa) = V~(x; eps, -lam, -kappa) and
+        # V~(x; conj eps, lam, -kappa) = conj V~(x; eps, lam, kappa), to the bit
+        # on every finite entry.
+        rng = np.random.default_rng(4)
+        xs = np.linspace(0.0, 6.0, 601)
+        for _ in range(40):
+            eps = complex(rng.uniform(-30.0, 30.0), rng.uniform(-3.0, 3.0) * rng.choice([0.0, 1e-6, 1.0]))
+            lam, kappa = rng.uniform(-3.0, 3.0, size=2)
+            params = TransformParams(epsilon=eps, lam=lam, kappa=kappa)
+            if symmetry == "parity":
+                want = partner_potential(params, -xs)
+                got = partner_potential(TransformParams(epsilon=eps, lam=-lam, kappa=-kappa), xs)
+            else:
+                want = np.conj(partner_potential(params, xs))
+                got = partner_potential(TransformParams(epsilon=eps.conjugate(), lam=lam, kappa=-kappa), xs)
+            finite = np.isfinite(want)
+            assert np.array_equal(finite, np.isfinite(got)), params
+            assert np.array_equal(got[finite], want[finite]), params
+
     def test_cross_check_against_log_second_derivative(self, default_grid):
         # Independent route: V~ = x^2 - 2 (ln u)'' with (ln u)'' = (u''u - u'^2)/u^2
         # assembled from finite differences of u.

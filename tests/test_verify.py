@@ -1,5 +1,7 @@
 import contextlib
 import io
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -122,7 +124,7 @@ class TestResidualReport:
         u, up, _, _ = seed.seed_eval_grid(params, xs)
         assert len(seed.sign_change_brackets(u)) == 1
         mag, local_scale = seed.u_denominator(u, up)["u"]
-        by_u_rule = (mag < verify.EXCLUDE_REL * np.median(mag)) | singular(mag, local_scale)
+        by_u_rule = (mag < verify.EXCLUDE_REL * (local_scale - 1.0)) | singular(mag, local_scale)
         report = residual_report("annihilation", params, grid)
         assert report.excluded_points == tuple(float(v) for v in xs[by_u_rule])
         assert report.max_relative <= THRESHOLDS["annihilation"]
@@ -160,6 +162,58 @@ class TestResidualReport:
         # h = 0 used to fall back silently to the default step.
         with pytest.raises(ValueError, match=match):
             residual_report(kind, SET_1, coarse_grid, n=n, h=h)
+
+
+# wide_domain's seed-1 set and grid: |u| runs from about 1 near the origin to
+# 1.6e47 at the ends, so a point must be judged by its own values.
+WIDE_SET = TransformParams(epsilon=complex(-40.3465, 1.037), lam=1.424, kappa=0.676)
+WIDE_GRID = Grid(-12.0, 12.0, 0.01)
+
+
+def _verify_reports(params, grid):
+    """The reports of a default verify run on one set and grid."""
+    with verify.shared():
+        return [residual_report(kind, params, grid, n=n) for kind, n, _ in verify.report_plan()]
+
+
+class TestLocalExclusion:
+    """Each point is excluded by its own denominators, never by the rest of
+    the grid."""
+
+    def test_a_wide_grid_excludes_nothing(self):
+        for report in _verify_reports(WIDE_SET, WIDE_GRID):
+            assert report.excluded_points == (), report.kind
+            assert report.max_relative <= threshold_for(report.kind), report.kind
+
+    @pytest.mark.parametrize("distance", [1e-7, 1e-8])
+    def test_a_point_next_to_a_real_zero_is_the_one_excluded(self, distance):
+        # eps = 3.7, lambda = kappa = 0: u is real with a zero near 0.83.
+        params = TransformParams(epsilon=3.7)
+        zero = 0.83
+        for _ in range(20):
+            u, up, _, _ = seed.seed_eval_grid(params, np.array([zero]))
+            zero -= float((u[0] / up[0]).real)
+        grid = Grid(zero + distance - 5.83, zero + distance + 4.17, 0.01)
+        (near,) = np.flatnonzero(np.abs(grid.points() - zero) < 1e-6)
+        assert abs(grid.points()[near] - zero) == pytest.approx(distance, rel=1e-6)
+        for report in _verify_reports(params, grid):
+            assert report.excluded_points == (float(grid.points()[near]),), report.kind
+            assert report.max_relative <= threshold_for(report.kind), report.kind
+
+    def test_verify_does_not_load_numpy_ma(self):
+        # Loading numpy.ma costs about 2 MB of memory; verify needs none of it.
+        code = (
+            "import contextlib, io, sys\n"
+            "from susypiv import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        cli.main(['verify', '--xmin', '-2', '--xmax', '2', '--step', '0.05'])\n"
+            "    except SystemExit as exc:\n"
+            "        assert not exc.code, exc.code\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStencilEngine:
@@ -647,6 +701,16 @@ def test_eigen_fails_when_beta_is_wrong_at_a_level_energy(lam, default_grid, mon
             continue
         report = residual_report("eigen", params, default_grid, n=n)
         assert report.max_relative > _MUTATION_MARGIN * THRESHOLDS["eigen"], (n, report)
+
+
+def test_a_wide_grid_catches_a_wrong_beta(monkeypatch):
+    # Where |u| is large, 1/u and the residuals that carry it are tiny, so a
+    # wrong beta shows only near the origin (|x| < 1.5, |u| < 1e4).
+    _perturb_beta(monkeypatch, 1.0 + 1e-5)
+    with verify.shared():
+        for kind, n in (("annihilation", None), ("eigen", 1), ("eigen", 3)):
+            report = residual_report(kind, WIDE_SET, WIDE_GRID, n=n)
+            assert report.max_relative > _MUTATION_MARGIN * THRESHOLDS[kind], report
 
 
 def test_threshold_lookup():
