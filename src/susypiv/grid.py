@@ -12,6 +12,7 @@ from .errors import SingularPoint
 
 MAX_POINTS = 10**7
 SINGULAR_REL = 1e-10
+EXCLUDE_REL = 1e-6  # |f| < EXCLUDE_REL |f'|: within EXCLUDE_REL of a zero of f
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ closed forms in terms of the seed log-derivative:
 
 so g, g', g'' never need numerical differentiation: h' = (V~ - E) - h^2 and
 h'' = V~' - 2 h h' close the chain.  Each family's row of ``_FAMILY_TABLE``
-holds its extremal state; ``family_grid_eval`` takes arrays of positions and
-returns g, g', g'' with the formulas' denominators for the singular-point
-rule of ``grid.singular``.
+holds its extremal state and h with its denominators besides u;
+``family_grid_eval`` takes arrays of positions and returns g, g', g'' with
+the formulas' denominators for the singular-point rule of ``grid.singular``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,12 @@ class _Family:
     parameters: object  # complex eps -> (a, b) of the family's Painleve IV equation
     b_of_a: object  # complex a -> the b that a pins within the family
     state: object  # (xs, u, beta, beta') -> the extremal state at xs
+    h: object  # (xs, beta, beta', beta'') -> (h, {name: (|f|, 1 + |f'|)}) for h's denominators f
+
+
+def _plus_ratio(name, base, f, f_prime):
+    """base + f'/f, with f as the (|f|, 1 + |f'|) pair ``name`` of the exclusion rules."""
+    return base + f_prime / f, {name: (np.abs(f), 1.0 + np.abs(f_prime))}
 
 
 _FAMILY_TABLE = {
@@ -41,18 +47,25 @@ _FAMILY_TABLE = {
         parameters=lambda eps: (-(eps + 5.0) / 2.0, -((eps - 1.0) ** 2) / 2.0),
         b_of_a=lambda a: -2.0 * (a + 3.0) ** 2,
         state=lambda xs, u, beta, beta_prime: (beta_prime - 1.0) * u,
+        h=lambda xs, beta, beta_prime, beta_pp: _plus_ratio(
+            "beta_prime_minus_1", beta, beta_prime - 1.0, beta_pp
+        ),
     ),
     2: _Family(
         energy=lambda eps: complex(1.0),
         parameters=lambda eps: (eps - 1.0, complex(-2.0)),
         b_of_a=lambda a: complex(-2.0),
         state=lambda xs, u, beta, beta_prime: (xs + beta) * np.exp(-0.5 * xs * xs),
+        h=lambda xs, beta, beta_prime, beta_pp: _plus_ratio(
+            "x_plus_beta", -xs, xs + beta, 1.0 + beta_prime
+        ),
     ),
     3: _Family(
         energy=lambda eps: eps,
         parameters=lambda eps: ((1.0 - eps) / 2.0, -((eps + 1.0) ** 2) / 2.0),
         b_of_a=lambda a: -2.0 * (a - 1.0) ** 2,
         state=lambda xs, u, beta, beta_prime: 1.0 / u,
+        h=lambda xs, beta, beta_prime, beta_pp: (-beta, {}),
     ),
 }
 FAMILIES = tuple(_FAMILY_TABLE)
@@ -122,19 +135,7 @@ def _from_seed(params: TransformParams, family: int, xs, beta, beta_prime):
         beta_pp = 2.0 * xs - 2.0 * beta * beta_prime
         vt = xs * xs - 2.0 * beta_prime
         vt_prime = 2.0 * xs - 2.0 * beta_pp
-        # Each denominator f comes as (|f|, 1 + |f'|), so grid consumers can
-        # judge a point by its distance to a zero of f and by the singular rule.
-        denominators = {}
-        if family == 3:
-            h = -beta
-        elif family == 2:
-            denom = xs + beta
-            denominators["x_plus_beta"] = (np.abs(denom), 1.0 + np.abs(1.0 + beta_prime))
-            h = -xs + (1.0 + beta_prime) / denom
-        else:
-            denom = beta_prime - 1.0
-            denominators["beta_prime_minus_1"] = (np.abs(denom), 1.0 + np.abs(beta_pp))
-            h = beta + beta_pp / denom
+        h, denominators = _family(family).h(xs, beta, beta_prime, beta_pp)
         energy = extremal_energy(params, family)
         h_prime = (vt - energy) - h * h
         h_pp = vt_prime - 2.0 * h * h_prime

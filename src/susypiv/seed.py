@@ -48,9 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, PoleArgument
-from .grid import Grid, on_points, screen
+from .grid import EXCLUDE_REL, Grid, on_points, screen
 
-_ZERO_SCAN_REL = 1e-6
 # Taylor continuation: largest centre spacing, longest series of a centre,
 # share of the largest weight below which four trailing weights end a
 # series, share below which evaluation drops trailing terms, centres allowed
@@ -371,7 +370,7 @@ def locate_real_zeros(params: TransformParams, grid: Grid):
     xs = grid.points()
     u, up, _, _ = seed_eval_grid(params, xs)
     au = np.abs(u)
-    flagged = au <= _ZERO_SCAN_REL * np.abs(up)
+    flagged = au <= EXCLUDE_REL * np.abs(up)
     for i in sign_change_brackets(u):
         flagged[i if au[i] <= au[i + 1] else i + 1] = True
     return [float(v) for v in xs[flagged]]

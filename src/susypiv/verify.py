@@ -60,10 +60,8 @@ import numpy as np
 
 from . import painleve, seed, susy
 from .errors import AllPointsExcluded, EvaluationFailed, LevelAnnihilated, SusypivError
-from .grid import Grid, on_points, singular
+from .grid import EXCLUDE_REL, Grid, on_points, singular
 from .seed import TransformParams
-
-EXCLUDE_REL = 1e-6
 
 _H_ORDER1 = 1e-4
 _H_ORDER2 = 1e-3

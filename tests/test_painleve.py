@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import _param_id
 from susypiv import (
     BadFamily,
     TransformParams,
@@ -15,7 +16,9 @@ from susypiv import (
     residual_report,
     seed_eval_grid,
 )
+from susypiv import painleve
 from susypiv.grid import singular
+from susypiv.verify import BENCHMARK_PARAMS
 
 SET_1 = TransformParams(epsilon=-1.0 + 1.0j, lam=1.0, kappa=1.0)
 
@@ -182,6 +185,53 @@ def test_family_grid_eval_matches_scalar(default_grid):
         for i, x in enumerate(xs):
             one = family_grid_eval(SET_1, family, np.array([x]))
             assert (one[0][0], one[1][0], one[2][0]) == (g[i], gp[i], gpp[i])
+
+
+def _from_seed_by_branches(params, family, xs, beta, beta_prime):
+    """``painleve._from_seed`` as an if-chain on the family, each branch
+    holding one family's h and denominator."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        beta_pp = 2.0 * xs - 2.0 * beta * beta_prime
+        vt = xs * xs - 2.0 * beta_prime
+        vt_prime = 2.0 * xs - 2.0 * beta_pp
+        denominators = {}
+        if family == 3:
+            h = -beta
+        elif family == 2:
+            denom = xs + beta
+            denominators["x_plus_beta"] = (np.abs(denom), 1.0 + np.abs(1.0 + beta_prime))
+            h = -xs + (1.0 + beta_prime) / denom
+        else:
+            denom = beta_prime - 1.0
+            denominators["beta_prime_minus_1"] = (np.abs(denom), 1.0 + np.abs(beta_pp))
+            h = beta + beta_pp / denom
+        energy = extremal_energy(params, family)
+        h_prime = (vt - energy) - h * h
+        h_pp = vt_prime - 2.0 * h * h_prime
+        return -xs - h, -1.0 - h_prime, -h_pp, denominators
+
+
+# The benchmark sets, a real seed, and family 1's degenerate set, where
+# beta' - 1 is at rounding level everywhere.
+_PINNED_FAMILIES = [
+    (params, family)
+    for params in (*BENCHMARK_PARAMS, TransformParams(epsilon=3.0, lam=1.0))
+    for family in (1, 2, 3)
+] + [(TransformParams(epsilon=-1.0), 1)]
+
+
+@pytest.mark.parametrize(
+    "params, family", _PINNED_FAMILIES, ids=[f"{_param_id(p)}-family{f}" for p, f in _PINNED_FAMILIES]
+)
+def test_family_rows_keep_the_bits_of_the_branches(params, family, default_grid):
+    xs = default_grid.points()
+    _, _, beta, beta_prime = seed_eval_grid(params, xs)
+    *got, got_denoms = painleve._from_seed(params, family, xs, beta, beta_prime)
+    *want, want_denoms = _from_seed_by_branches(params, family, xs, beta, beta_prime)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert list(got_denoms) == list(want_denoms)
+    for name, pair in want_denoms.items():
+        assert [a.tobytes() for a in got_denoms[name]] == [a.tobytes() for a in pair], name
 
 
 def test_extremal_state_grid_matches_closed_forms():
