@@ -3,6 +3,8 @@ the three associated families of complex Painleve IV solutions, with
 finite-difference residual verification throughout.
 """
 
+import importlib
+
 from .errors import (
     AllPointsExcluded,
     BadFamily,
@@ -17,11 +19,6 @@ from .errors import (
     SusypivError,
 )
 from .grid import Grid
-from .kummer import (
-    kummer_m,
-    kummer_m_derivative,
-    kummer_oracle,
-)
 from .oscillator import (
     eigenfunction,
     eigenfunction_derivative,
@@ -55,13 +52,30 @@ from .susy import (
     spectrum,
     spectrum_degenerate,
 )
-from .verify import (
-    BENCHMARK_PARAMS,
-    THRESHOLDS,
-    ResidualReport,
-    fd_derivative,
-    residual_report,
-    threshold_for,
-)
 
 __version__ = "0.1.0"
+
+# No data command calls these two modules, so they load on first access of
+# one of their names (PEP 562); with no bytecode cache, compiling them would
+# lengthen every start.
+_LAZY = {
+    "kummer_m": "kummer",
+    "kummer_m_derivative": "kummer",
+    "kummer_oracle": "kummer",
+    "BENCHMARK_PARAMS": "verify",
+    "THRESHOLDS": "verify",
+    "ResidualReport": "verify",
+    "fd_derivative": "verify",
+    "residual_report": "verify",
+    "threshold_for": "verify",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted([*globals(), *_LAZY])

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import painleve, susy, verify
+from . import painleve, susy
 from .errors import AllPointsExcluded, LevelAnnihilated, SusypivError
 from .grid import Grid, singular
 from .seed import TransformParams
@@ -153,8 +153,9 @@ def _write(config: RunConfig, header, blocks) -> bool:
     ``text.rows`` a block at a time; booleans read true/false in both.  On an
     error, or when no block kept a row (returns False), ``--output`` is left
     as it was."""
-    # Imported here, not with the CLI: with no bytecode cache, compiling it
-    # would lengthen every start, verify's included.
+    # Imported here, not with the CLI, as verify is in _run_verify: with no
+    # bytecode cache, compiling a module at import lengthens every start,
+    # also of the commands that never call it.
     from . import text
 
     head, pieces, sep, tail = _layout(config, header)
@@ -207,6 +208,8 @@ def _params_label(params: TransformParams) -> str:
 
 
 def _run_verify(config: RunConfig, stream) -> int:
+    from . import verify
+
     param_sets = list(verify.BENCHMARK_PARAMS) if config.run_all else [config.params()]
     grid = config.grid()
     entries = []

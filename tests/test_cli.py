@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susypiv import AllPointsExcluded, cli, seed_eval_grid
+from susypiv import AllPointsExcluded, cli, seed_eval_grid, verify
 from susypiv.cli import RunConfig, run
 from susypiv.grid import singular
 
@@ -183,7 +183,7 @@ class TestVerifyCommand:
                 max_relative=1.0, mean_relative=0.5, excluded_points=(), grid=grid,
             )
 
-        monkeypatch.setattr(cli.verify, "residual_report", inflated)
+        monkeypatch.setattr(verify, "residual_report", inflated)
         config = RunConfig(command="verify", epsilon_re=-1.0, epsilon_im=1.0, step=0.05)
         assert run(config) == 1
         assert "FAIL" in capsys.readouterr().out
@@ -192,14 +192,14 @@ class TestVerifyCommand:
 def test_saturated_eigen_reports_keep_their_level(monkeypatch, tmp_path):
     # The SATURATED line and JSON entry of each eigen level used to read
     # plain "eigen" four times.
-    original = cli.verify.residual_report
+    original = verify.residual_report
 
     def saturate_eigen(kind, params, grid, n=None, h=None):
         if kind == "eigen":
             raise AllPointsExcluded(f"eigen({n}): every grid point is singular")
         return original(kind, params, grid, n=n, h=h)
 
-    monkeypatch.setattr(cli.verify, "residual_report", saturate_eigen)
+    monkeypatch.setattr(verify, "residual_report", saturate_eigen)
     out = tmp_path / "report.json"
     config = RunConfig(
         command="verify", epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0,

@@ -190,9 +190,34 @@ def test_non_finite_input_raises(fn, position, value):
         fn(*args)
 
 
-def test_importing_the_cli_does_not_load_mpmath():
-    # mpmath is imported on first use of the 1F1 functions; loading
-    # it with the package would add about 40 ms to every CLI start.
-    code = "import sys, susypiv.cli; assert 'mpmath' not in sys.modules"
+def _fresh(code):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_does_not_load_mpmath():
+    # mpmath is imported on first use of the 1F1 functions, text on the first
+    # write, verify and kummer on first use: no data command calls the last
+    # two, and with no bytecode cache compiling them costs about 11 ms a start.
+    _fresh(
+        "import sys, susypiv.cli; susypiv.cli.build_parser()\n"
+        "for name in ('mpmath', 'susypiv.verify', 'susypiv.kummer', 'susypiv.text'):\n"
+        "    assert name not in sys.modules, name"
+    )
+
+
+def test_root_names_of_kummer_and_verify_load_on_first_use():
+    _fresh("""
+import sys, susypiv
+from susypiv import kummer_m
+assert 'susypiv.kummer' in sys.modules and 'susypiv.verify' not in sys.modules
+from susypiv import cli, kummer, verify  # as bench/spans.py imports them
+names = {kummer: ['kummer_m', 'kummer_m_derivative', 'kummer_oracle'],
+         verify: ['BENCHMARK_PARAMS', 'THRESHOLDS', 'ResidualReport',
+                  'fd_derivative', 'residual_report', 'threshold_for']}
+for module, listed in names.items():
+    for name in listed:
+        assert getattr(susypiv, name) is getattr(module, name), name
+        assert name in dir(susypiv), name
+assert not hasattr(susypiv, 'no_such_name')
+""")
