@@ -1,5 +1,6 @@
 """Evaluation positions: uniform grids, the one-element view of a scalar
-position, and the singular-point rule that screens positions."""
+position, the singular-point rule that screens positions, and the near-zero
+rule that excludes grid points."""
 
 from __future__ import annotations
 
@@ -56,6 +57,16 @@ def singular(mag, scale):
     return mag <= SINGULAR_REL * scale
 
 
+def excluded(mag, local_scale):
+    """The points that a denominator f, given as ``mag`` = |f| and
+    ``local_scale`` = 1 + |f'|, excludes, each by its own values: within
+    EXCLUDE_REL of a zero of f (|f| < EXCLUDE_REL |f'|), singular (which also
+    catches an f at rounding level whose f' is noise too, as on degenerate
+    seeds) or not finite."""
+    finite = np.isfinite(mag) & np.isfinite(local_scale)
+    return (mag < EXCLUDE_REL * (local_scale - 1.0)) | singular(mag, local_scale) | ~finite
+
+
 def screen(denominators, x) -> None:
     """Raise SingularPoint when a ``name -> (mag, scale)`` denominator is singular."""
     for name, (mag, scale) in denominators.items():
@@ -65,17 +76,9 @@ def screen(denominators, x) -> None:
 
 def on_points(fn, x, dtype=float):
     """``fn`` over the positions ``x``; ``fn`` maps an ndarray of positions to
-    (values, denominators), ``denominators`` being None or a zero-argument
-    callable that builds the mapping ``screen`` takes.
-
-    An ndarray gets its values unscreened, and its denominators are never
-    built.  A scalar is evaluated as a one-element array, so it agrees bit
-    for bit with the grid, is screened, and comes back as a Python scalar.
+    its values.  A scalar is evaluated as a one-element array, so it agrees
+    bit for bit with the grid, and comes back as a Python scalar.
     """
     xs = np.asarray(x, dtype=dtype)
-    values, denominators = fn(xs.reshape(xs.shape or (1,)))
-    if xs.ndim:
-        return values
-    if denominators is not None:
-        screen(denominators(), xs.item())
-    return values.item()
+    values = fn(xs.reshape(xs.shape or (1,)))
+    return values if xs.ndim else values.item()

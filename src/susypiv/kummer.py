@@ -52,7 +52,7 @@ def kummer_m(a, b, z):
         out = np.empty(z.shape, dtype=complex)
         for i, (ai, bi, zi) in enumerate(np.broadcast(a, b, z)):
             out.flat[i] = _double(kummer_oracle(ai, bi, zi, _DOUBLE_DIGITS), f"1F1 at z={zi}")
-        return out, None
+        return out
 
     return on_points(values, z, dtype=complex)
 

@@ -25,12 +25,12 @@ def eigenfunction(n: int, x):
     Hermite values come from the normalized three-term recurrence with the
     Gaussian folded in, which stays stable through n = 60.
     """
-    return on_points(lambda xs: (_levels(n, xs)[1], None), x)
+    return on_points(lambda xs: _levels(n, xs)[1], x)
 
 
 def eigenfunction_derivative(n: int, x):
     """d/dx psi_n via the ladder identity psi_n' = sqrt(2n) psi_{n-1} - x psi_n."""
-    return on_points(lambda xs: (_with_derivative(n, xs)[1], None), x)
+    return on_points(lambda xs: _with_derivative(n, xs)[1], x)
 
 
 def _levels(n: int, xs):

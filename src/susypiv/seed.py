@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, PoleArgument
-from .grid import EXCLUDE_REL, Grid, on_points, screen
+from .grid import Grid, excluded, on_points, screen
 
 # Taylor continuation: largest centre spacing, longest series of a centre,
 # share of the largest weight below which four trailing weights end a
@@ -302,7 +302,7 @@ def seed_u(params: TransformParams, x):
     """
 
     def values(xs):
-        return _chain(params).evaluate(xs.ravel(), derivative=False).reshape(xs.shape), None
+        return _chain(params).evaluate(xs.ravel(), derivative=False).reshape(xs.shape)
 
     return on_points(values, x)
 
@@ -362,15 +362,15 @@ def real_case_lambda(nu: float, epsilon: float) -> float:
 def locate_real_zeros(params: TransformParams, grid: Grid):
     """Grid points adjacent to real zeros of u; an empty list means node-free.
 
-    A point qualifies when it lies within 1e-6 of a zero of u, |u| <= 1e-6
-    |u'|, or when the real and imaginary parts both change sign across an
-    interval (a component negligible over the whole grid counts as
-    changing).
+    A point qualifies when the denominator u excludes it (``grid.excluded``:
+    within 1e-6 of a zero of u, |u| < 1e-6 |u'|, singular or not finite), or
+    when the real and imaginary parts both change sign across an interval (a
+    component negligible over the whole grid counts as changing).
     """
     xs = grid.points()
     u, up, _, _ = seed_eval_grid(params, xs)
     au = np.abs(u)
-    flagged = au <= EXCLUDE_REL * np.abs(up)
+    flagged = excluded(*u_denominator(u, up)["u"])
     for i in sign_change_brackets(u):
         flagged[i if au[i] <= au[i + 1] else i + 1] = True
     return [float(v) for v in xs[flagged]]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oscillator, seed
 from .errors import NotNormalizable
-from .grid import MAX_POINTS, Grid, on_points
+from .grid import MAX_POINTS, Grid, on_points, screen
 from .seed import TransformParams
 
 _TAIL_REL = 1e-6
@@ -32,7 +32,10 @@ def _on_seed(params: TransformParams, x, fn):
     def values(xs):
         u, up, beta, beta_prime = seed.seed_eval_grid(params, xs)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return fn(xs, u, beta, beta_prime), lambda: seed.u_denominator(u, up)
+            out = fn(xs, u, beta, beta_prime)
+        if np.ndim(x) == 0:
+            screen(seed.u_denominator(u, up), xs.item())
+        return out
 
     return on_points(values, x)
 

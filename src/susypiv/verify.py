@@ -3,10 +3,11 @@ every closed-form construction.
 
 Step sizes are set by the double-precision noise floor, not by truncation
 alone: a difference of order k amplifies per-evaluation rounding by 1/h^k,
-so the default h is 1e-4, 1e-3 and 2e-3 for orders 1, 2 and 3.  Near a zero
-of u the truncation term grows like (h/d)^4 with d the distance to the zero,
-so beta-dependent stencils cap h pointwise at 0.02/(1+|beta|), the order-3
-one at 0.01/(1+|beta|).
+so each kind differences at one fixed step h, 1e-4, 1e-3 and 2e-3 for
+orders 1, 2 and 3 (``_H_ORDER1`` to ``_H_ORDER3``).  Near a zero of u the
+truncation term grows like (h/d)^4 with d the distance to the zero, so
+beta-dependent stencils cap h pointwise at 0.02/(1+|beta|), the order-3 one
+at 0.01/(1+|beta|).
 
 The annihilation check applies the third-order lowering operator, expanded
 with beta'' = 2x - 2 beta beta', to psi = 1/u, whose three derivatives come
@@ -26,20 +27,20 @@ offset, and the series work space of each call stays bounded.
 
 Every kind reads the seed from one ``_GridState``: u, u', beta and beta' on
 the grid, the points that the denominator u excludes, and u and beta on the
-partner-state stencil (step h = 1e-3 capped by beta); each is built on first
+partner-state stencil (step 1e-3 capped by beta); each is built on first
 use.  A stencil row whose positions equal, as doubles, positions already
 summed is read, not summed:
 
 - the partner stencil's centre is u and beta on the grid, and only its four
   other offsets are summed;
-- schrodinger (step h, uncapped) reads u from the partner stencil where the
-  cap leaves the partner's step at h, and sums its stencil elsewhere;
+- schrodinger (step 1e-3, uncapped) reads u from the partner stencil where
+  the cap leaves the partner's step at 1e-3, and sums its stencil elsewhere;
 - eigen(0..3) and new_state difference -psi_n' + beta psi_n and 1/u on the
   partner stencil;
-- annihilation, which differences 1/u, reads u on the grid for its centre
-  and u at the partner stencil's offsets +-1 for its offsets +-1/2 where
-  half its step is the partner's; the rest of its stencil is summed in one
-  engine call;
+- annihilation, which differences 1/u at step 2e-3 capped, reads u on the
+  grid for its centre and u at the partner stencil's offsets +-1 for its
+  offsets +-1/2 where half its step is the partner's; the rest of its
+  stencil is summed in one engine call;
 - riccati sums its own stencil.
 
 A report builds its own state, except inside ``shared()``, where the reports
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import painleve, seed, susy
 from .errors import AllPointsExcluded, EvaluationFailed, LevelAnnihilated, SusypivError
-from .grid import EXCLUDE_REL, Grid, on_points, singular
+from .grid import Grid, excluded, on_points
 from .seed import TransformParams
 
 _H_ORDER1 = 1e-4
@@ -98,27 +99,16 @@ class ResidualReport:
     grid: Grid
 
 
-def _excluded(mag, local_scale):
-    """The points that a denominator f, given as ``mag`` = |f| and
-    ``local_scale`` = 1 + |f'|, excludes, each by its own values: within
-    EXCLUDE_REL of a zero of f (|f| < EXCLUDE_REL |f'|), singular by
-    ``grid.singular`` (which also catches an f at rounding level whose f' is
-    noise too, as on degenerate seeds) or not finite."""
-    finite = np.isfinite(mag) & np.isfinite(local_scale)
-    return (mag < EXCLUDE_REL * (local_scale - 1.0)) | singular(mag, local_scale) | ~finite
-
-
 class _GridState:
     """The seed on the grid of one parameter set, read by every kind: ``xs``,
     ``values`` = (u, u', beta, beta') there, ``u_excluded``, the points that
-    the denominator u excludes, and ``partner(h)``, the partner-state
-    stencil.  Each is built on first use and read-only."""
+    the denominator u excludes, and ``partner``, the partner-state stencil.
+    Each is built on first use and read-only."""
 
     def __init__(self, params: TransformParams, grid: Grid):
         self.params = params
         self.xs = grid.points()
         self.xs.flags.writeable = False
-        self._partner = None  # (h, step, u, beta) of the last partner(h)
 
     @functools.cached_property
     def values(self):
@@ -131,26 +121,24 @@ class _GridState:
     def u_excluded(self):
         u, up, _, _ = self.values
         ((mag, local_scale),) = seed.u_denominator(u, up).values()
-        excluded = _excluded(mag, local_scale)
-        excluded.flags.writeable = False
-        return excluded
+        u_excluded = excluded(mag, local_scale)
+        u_excluded.flags.writeable = False
+        return u_excluded
 
-    def partner(self, h):
-        """(step, u, beta) of the partner-state stencil of step ``h``: step =
-        h capped by beta on the grid, and u and beta at xs + c step for c in
-        _D2_OFFSETS, shape (5,) + xs.shape, the grid's at c = 0; kept for the
-        last ``h`` asked for."""
-        if self._partner is None or self._partner[0] != h:
-            u, _, beta, _ = self.values
-            step = _capped(h, beta)
-            offsets = [c * step for c in _D2_OFFSETS]
-            u_beta = lambda t: seed.seed_eval_grid(self.params, t)[::2]
-            known = [(0, _ALL, np.stack((u, beta)))]
-            u, beta = _on_offsets(u_beta, self.xs, offsets, rows=(2,), known=known)
-            for v in (step, u, beta):
-                v.flags.writeable = False
-            self._partner = (h, step, u, beta)
-        return self._partner[1:]
+    @functools.cached_property
+    def partner(self):
+        """(step, u, beta) of the partner-state stencil: step = _H_ORDER2
+        capped by beta on the grid, and u and beta at xs + c step for c in
+        _D2_OFFSETS, shape (5,) + xs.shape, the grid's at c = 0."""
+        u, _, beta, _ = self.values
+        step = _capped(_H_ORDER2, beta)
+        offsets = [c * step for c in _D2_OFFSETS]
+        u_beta = lambda t: seed.seed_eval_grid(self.params, t)[::2]
+        known = [(0, _ALL, np.stack((u, beta)))]
+        u, beta = _on_offsets(u_beta, self.xs, offsets, rows=(2,), known=known)
+        for v in (step, u, beta):
+            v.flags.writeable = False
+        return step, u, beta
 
 
 # The grid states kept while ``shared()`` is open, by (seed._key(params), grid):
@@ -184,8 +172,8 @@ def _grid_state(params: TransformParams, grid: Grid) -> _GridState:
 
 
 def _step(h, default):
-    """The stencil step: ``default`` when ``h`` is None, else ``h`` checked:
-    positive, finite, and with ``_d3``'s divisor 0.25 h^3 a normal double."""
+    """``fd_derivative``'s step: ``default`` when ``h`` is None, else ``h``
+    checked: positive, finite, and with 0.25 h^3 a normal double."""
     if h is None:
         return default
     if not (math.isfinite(h) and h > 0.0):
@@ -236,7 +224,7 @@ def fd_derivative(f, x, order: int = 1, h: float | None = None):
         if bad.size:
             k, i = divmod(int(bad[0]), xs.size)
             raise EvaluationFailed(f"stencil point {xs.flat[i] + offsets[k] * h} is non-finite")
-        return difference(v, h), None
+        return difference(v, h)
 
     return on_points(values, x)
 
@@ -281,10 +269,11 @@ def _relative(terms):
     return np.abs(sum(terms[1:], start=terms[0])) / scale
 
 
-def _schrodinger_rel(s, h, n):
+def _schrodinger_rel(s, n):
     # Where the cap leaves the partner's step at h, its stencil's u is this one.
+    h = _H_ORDER2
     u, _, _, _ = s.values
-    step, partner_u, _ = s.partner(h)
+    step, partner_u, _ = s.partner
     uncapped = step == h
     known = [(0, _ALL, u)] + [(k, uncapped, partner_u[k]) for k in range(1, len(_D2_OFFSETS))]
     offsets = [c * h for c in _D2_OFFSETS]
@@ -292,10 +281,10 @@ def _schrodinger_rel(s, h, n):
     return _relative((-upp, s.xs * s.xs * u, -s.params.epsilon * u)), {}
 
 
-def _riccati_rel(s, h, n):
+def _riccati_rel(s, n):
     xs, (_, _, beta, _) = s.xs, s.values
     beta_fn = lambda t: seed.seed_eval_grid(s.params, t)[2]
-    step = _capped(h, beta)
+    step = _capped(_H_ORDER1, beta)
     beta_p = _d1(_on_offsets(beta_fn, xs, [c * step for c in _D1_OFFSETS]), step)
     eps = s.params.epsilon
     resid = beta_p + beta * beta - xs * xs + eps
@@ -303,7 +292,7 @@ def _riccati_rel(s, h, n):
     return np.abs(resid) / scale, {}
 
 
-def _piv_rel(family, s, h, n):
+def _piv_rel(family, s, n):
     _, _, beta, beta_p = s.values
     g, gp, gpp, denoms = painleve._from_seed(s.params, family, s.xs, beta, beta_p)
     a, b = painleve.piv_parameters(s.params, family)
@@ -311,12 +300,12 @@ def _piv_rel(family, s, h, n):
         return _relative(painleve.piv_residual_terms(g, gp, gpp, s.xs, a, b)), denoms
 
 
-def _state_rel(s, h, state, energy):
+def _state_rel(s, state, energy):
     """|-f'' + V~ f - E f| over the sum of its terms' sizes, for the partner
     state f = ``state(t, u, beta)`` at energy E: its values at the positions
     t of the partner-state stencil, from the seed's u and beta there."""
     xs, (_, _, _, beta_p) = s.xs, s.values
-    step, u, beta = s.partner(h)
+    step, u, beta = s.partner
     with np.errstate(divide="ignore", invalid="ignore"):
         v = state(np.stack([xs + c * step for c in _D2_OFFSETS]), u, beta)
     f, fpp = v[0], _d2(v, step)
@@ -326,7 +315,7 @@ def _state_rel(s, h, state, energy):
     return np.abs(resid) / scale, {}
 
 
-def _eigen_rel(s, h, n):
+def _eigen_rel(s, n):
     if n is None or not 0 <= n <= 10:
         raise ValueError("eigen residual requires 0 <= n <= 10")
     if susy.level_annihilated(s.params, n):
@@ -334,11 +323,11 @@ def _eigen_rel(s, h, n):
         raise LevelAnnihilated(f"eigen({n}): -psi_n' + beta psi_n vanishes identically")
     # susy.partner_eigenfunction's image of psi_n, on the partner stencil.
     image = lambda t, u, beta: susy._image(n, t, beta)
-    return _state_rel(s, h, image, float(2 * n + 1))
+    return _state_rel(s, image, float(2 * n + 1))
 
 
-def _new_state_rel(s, h, n):
-    return _state_rel(s, h, lambda t, u, beta: 1.0 / u, s.params.epsilon)
+def _new_state_rel(s, n):
+    return _state_rel(s, lambda t, u, beta: 1.0 / u, s.params.epsilon)
 
 
 def _annihilation_terms(psi, d1, d2, d3, xs, beta, beta_p):
@@ -353,14 +342,15 @@ def _annihilation_terms(psi, d1, d2, d3, xs, beta, beta_p):
     )
 
 
-def _annihilation_rel(s, h, n):
+def _annihilation_rel(s, n):
     # The third-order lowering operator annihilates the extremal state 1/u.
-    # Offset 0 is the grid; offsets +-1/2 are the partner stencil's +-1 for
-    # step h/2 wherever the two caps leave the same step.
+    # Offset 0 is the grid; offsets +-1/2 are the partner stencil's +-1
+    # (its step _H_ORDER2 is half of _H_ORDER3) wherever the two caps leave
+    # the same step.
     xs, (u, _, beta, beta_p) = s.xs, s.values
-    step = _capped(h, beta, _ORDER3_CAP)
+    step = _capped(_H_ORDER3, beta, _ORDER3_CAP)
     offsets = [c * step for c in _D3_OFFSETS]
-    half, partner_u, _ = s.partner(0.5 * h)
+    half, partner_u, _ = s.partner
     same = 0.5 * step == half
     known = [(0, _ALL, u), (3, same, partner_u[1]), (4, same, partner_u[2])]
     psi = _on_offsets(lambda t: seed.seed_u(s.params, t), xs, offsets, known=known)
@@ -373,27 +363,26 @@ def _annihilation_rel(s, h, n):
 
 @dataclass(frozen=True)
 class _Kind:
-    """``residual(s, h, n)`` gives (relative residuals on the grid of the
+    """``residual(s, n)`` gives (relative residuals on the grid of the
     ``_GridState`` s, non-finite where a point is singular for the check; its
-    exclusion denominators besides u).  ``h`` is the default step (None: no
-    stencil), ``levels`` the n of a verify run."""
+    exclusion denominators besides u), each kind differencing at its own
+    fixed step.  ``levels`` are the n of a verify run."""
 
     residual: object
-    h: float | None
     threshold: float
     levels: tuple = ()
 
 
 KINDS = {
-    "schrodinger": _Kind(_schrodinger_rel, _H_ORDER2, 1e-7),
-    "riccati": _Kind(_riccati_rel, _H_ORDER1, 1e-7),
+    "schrodinger": _Kind(_schrodinger_rel, 1e-7),
+    "riccati": _Kind(_riccati_rel, 1e-7),
     **{
-        f"piv_family_{family}": _Kind(functools.partial(_piv_rel, family), None, 1e-8)
+        f"piv_family_{family}": _Kind(functools.partial(_piv_rel, family), 1e-8)
         for family in painleve.FAMILIES
     },
-    "eigen": _Kind(_eigen_rel, _H_ORDER2, 1e-6, levels=(0, 1, 2, 3)),
-    "new_state": _Kind(_new_state_rel, _H_ORDER2, 1e-6),
-    "annihilation": _Kind(_annihilation_rel, _H_ORDER3, 1e-6),
+    "eigen": _Kind(_eigen_rel, 1e-6, levels=(0, 1, 2, 3)),
+    "new_state": _Kind(_new_state_rel, 1e-6),
+    "annihilation": _Kind(_annihilation_rel, 1e-6),
 }
 
 THRESHOLDS = {kind: row.threshold for kind, row in KINDS.items()}
@@ -413,11 +402,7 @@ def threshold_for(kind_label: str) -> float:
 
 
 def residual_report(
-    kind: str,
-    params: TransformParams,
-    grid: Grid,
-    n: int | None = None,
-    h: float | None = None,
+    kind: str, params: TransformParams, grid: Grid, n: int | None = None
 ) -> ResidualReport:
     """Relative residual statistics for one construction over a grid.
 
@@ -426,30 +411,27 @@ def residual_report(
     and reported, not failed; each point is judged by its own values.
     Raises LevelAnnihilated for an eigen level whose transformed state
     vanishes identically (``susy.level_annihilated``), and ValueError for an
-    unknown kind, for an ``h`` on a kind without a stencil or not positive
-    and finite, and for an ``n`` on any kind but eigen, which requires
+    unknown kind and for an ``n`` on any kind but eigen, which requires
     0 <= n <= 10.
     """
     row = KINDS.get(kind)
     if row is None:
         raise ValueError(f"unknown residual kind {kind!r}")
-    if h is not None and row.h is None:
-        raise ValueError(f"{kind} has no stencil, so it takes no step h")
     if n is not None and not row.levels:
         raise ValueError(f"{kind} takes no level n")
     label = _label(kind, n)
     state = _grid_state(params, grid)
-    rel, denoms = row.residual(state, _step(h, row.h), n)
-    excluded = ~np.isfinite(rel) | state.u_excluded
+    rel, denoms = row.residual(state, n)
+    skipped = ~np.isfinite(rel) | state.u_excluded
     for mag, local_scale in denoms.values():
-        excluded |= _excluded(mag, local_scale)
-    if bool(excluded.all()):
+        skipped |= excluded(mag, local_scale)
+    if bool(skipped.all()):
         raise AllPointsExcluded(f"{label}: every grid point is singular")
-    body = rel[~excluded]
+    body = rel[~skipped]
     return ResidualReport(
         kind=label,
         max_relative=float(np.max(body)),
         mean_relative=float(np.mean(body)),
-        excluded_points=tuple(state.xs[excluded].tolist()),
+        excluded_points=tuple(state.xs[skipped].tolist()),
         grid=grid,
     )

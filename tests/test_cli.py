@@ -177,7 +177,7 @@ class TestVerifyCommand:
     def test_threshold_failure_exits_one(self, monkeypatch, capsys):
         from susypiv.verify import ResidualReport
 
-        def inflated(kind, params, grid, n=None, h=None):
+        def inflated(kind, params, grid, n=None):
             return ResidualReport(
                 kind=kind if kind != "eigen" else f"eigen({n})",
                 max_relative=1.0, mean_relative=0.5, excluded_points=(), grid=grid,
@@ -194,10 +194,10 @@ def test_saturated_eigen_reports_keep_their_level(monkeypatch, tmp_path):
     # plain "eigen" four times.
     original = verify.residual_report
 
-    def saturate_eigen(kind, params, grid, n=None, h=None):
+    def saturate_eigen(kind, params, grid, n=None):
         if kind == "eigen":
             raise AllPointsExcluded(f"eigen({n}): every grid point is singular")
-        return original(kind, params, grid, n=n, h=h)
+        return original(kind, params, grid, n=n)
 
     monkeypatch.setattr(verify, "residual_report", saturate_eigen)
     out = tmp_path / "report.json"

@@ -491,6 +491,32 @@ class TestLocateRealZeros:
         for z, want in zip(zeros, (-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))):
             assert abs(z - want) <= default_grid.step
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param(TransformParams(epsilon=1.0, lam=5.0), id="eps1-lam5"),
+            pytest.param(TransformParams(epsilon=5.0), id="eps5"),
+        ],
+    )
+    def test_near_zero_flags_are_the_verify_exclusions(self, params, default_grid, monkeypatch):
+        # One near-zero rule: on a grid through a real node of u, the points
+        # that locate_real_zeros flags by |u| and |u'| alone are the points
+        # that the denominator u excludes from a residual report.
+        lo = locate_real_zeros(params, default_grid)[0]
+        lo, hi = lo - default_grid.step, lo + default_grid.step
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            same_sign = seed_u(params, mid).real * seed_u(params, lo).real > 0.0
+            lo, hi = (mid, hi) if same_sign else (lo, mid)
+        grid = Grid(lo - 5.0, lo + 5.0, 0.01)
+        with verify.shared():
+            report = residual_report("new_state", params, grid)
+            by_report = verify._grid_state(params, grid).u_excluded
+        monkeypatch.setattr(seed, "sign_change_brackets", lambda u: np.empty(0, dtype=int))
+        flagged = locate_real_zeros(params, grid)
+        assert flagged and flagged == grid.points()[by_report].tolist()
+        assert set(flagged) <= set(report.excluded_points)
+
 
 def test_sign_change_brackets_at_large_magnitude():
     # |u| reaches 1e290 before the chain leaves the double range; the bracket

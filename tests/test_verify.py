@@ -23,7 +23,7 @@ from susypiv import (
     threshold_for,
 )
 from susypiv import cli, kummer, seed, susy, verify
-from susypiv.grid import MAX_POINTS, singular
+from susypiv.grid import EXCLUDE_REL, MAX_POINTS, singular
 from susypiv.verify import BENCHMARK_PARAMS, THRESHOLDS
 
 SET_1 = BENCHMARK_PARAMS[0]
@@ -81,11 +81,14 @@ class TestResidualReport:
         b = residual_report("riccati", SET_1, coarse_grid)
         assert a == b
 
-    def test_monotone_refinement(self, coarse_grid):
+    def test_monotone_refinement(self, coarse_grid, monkeypatch):
         # In the truncation-dominated regime halving h must not lose accuracy
-        # by more than a factor two on a smooth parameter set.
-        big = residual_report("schrodinger", SET_1, coarse_grid, h=1e-2)
-        small = residual_report("schrodinger", SET_1, coarse_grid, h=5e-3)
+        # by more than a factor two on a smooth parameter set.  A report made
+        # outside shared() builds its own state, so it reads the step set here.
+        monkeypatch.setattr(verify, "_H_ORDER2", 1e-2)
+        big = residual_report("schrodinger", SET_1, coarse_grid)
+        monkeypatch.setattr(verify, "_H_ORDER2", 5e-3)
+        small = residual_report("schrodinger", SET_1, coarse_grid)
         assert small.max_relative <= 2.0 * big.max_relative
 
     def test_statistics_ordering(self, coarse_grid):
@@ -124,7 +127,7 @@ class TestResidualReport:
         u, up, _, _ = seed.seed_eval_grid(params, xs)
         assert len(seed.sign_change_brackets(u)) == 1
         mag, local_scale = seed.u_denominator(u, up)["u"]
-        by_u_rule = (mag < verify.EXCLUDE_REL * (local_scale - 1.0)) | singular(mag, local_scale)
+        by_u_rule = (mag < EXCLUDE_REL * (local_scale - 1.0)) | singular(mag, local_scale)
         report = residual_report("annihilation", params, grid)
         assert report.excluded_points == tuple(float(v) for v in xs[by_u_rule])
         assert report.max_relative <= THRESHOLDS["annihilation"]
@@ -134,34 +137,19 @@ class TestResidualReport:
         assert report.kind == "eigen(2)"
 
     @pytest.mark.parametrize(
-        "kind, h, n, match",
+        "kind, n, match",
         [
-            pytest.param(kind, h, None, "h must be positive", id=f"{kind}-{h}")
-            for kind in ("annihilation", "schrodinger")
-            for h in (-1e-3, 0.0, float("inf"), float("nan"))
-        ]
-        + [
-            # A kind without a stencil, or a level on a kind without levels,
-            # used to be accepted and ignored.
-            pytest.param("piv_family_1", 123.0, None, "no step h", id="piv_family_1-123.0"),
-            pytest.param("riccati", None, 2, "no level n", id="riccati-n2"),
-            pytest.param("piv_family_3", None, 0, "no level n", id="piv_family_3-n0"),
+            # A level on a kind without levels used to be accepted and ignored.
+            pytest.param("riccati", 2, "no level n", id="riccati-n2"),
+            pytest.param("piv_family_3", 0, "no level n", id="piv_family_3-n0"),
             # The kind is checked before its arguments.
-            pytest.param("bogus", -1.0, None, "unknown residual kind", id="bogus--1.0"),
-        ]
-        + [
-            # Steps below about 4.5e-103 make 0.25 h^3, the order-3 divisor,
-            # subnormal or 0: no difference can be taken.
-            pytest.param(kind, h, n, "too small", id=f"{kind}-{h}")
-            for kind, n in (("schrodinger", None), ("eigen", 0), ("new_state", None), ("annihilation", None))
-            for h in (1e-300, 4e-103)
+            pytest.param("bogus", -1.0, "unknown residual kind", id="bogus--1.0"),
         ],
     )
     @pytest.mark.filterwarnings("error")
-    def test_rejects_bad_step(self, coarse_grid, kind, h, n, match):
-        # h = 0 used to fall back silently to the default step.
+    def test_rejects_bad_step(self, coarse_grid, kind, n, match):
         with pytest.raises(ValueError, match=match):
-            residual_report(kind, SET_1, coarse_grid, n=n, h=h)
+            residual_report(kind, SET_1, coarse_grid, n=n)
 
 
 # wide_domain's seed-1 set and grid: |u| runs from about 1 near the origin to
@@ -300,9 +288,9 @@ def _run_recorded(monkeypatch, config):
     calls = []
     original = verify.residual_report
 
-    def recording(kind, params, grid, n=None, h=None):
+    def recording(kind, params, grid, n=None):
         try:
-            report = original(kind, params, grid, n=n, h=h)
+            report = original(kind, params, grid, n=n)
         except SusypivError as exc:
             calls.append(((kind, params, grid, n), type(exc)))
             raise
@@ -425,23 +413,16 @@ class TestSharedGridState:
 
     @pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
     def test_reports_are_identical_in_the_scope(self, default_grid, params):
-        # The partner-state stencil is kept for one step h: a report with
-        # another h builds its own, and the default one is built again after.
-        calls = [(kind, n, None) for kind, n, _ in verify.report_plan()]
-        calls += [("eigen", 1, 5e-4), ("new_state", None, 5e-4), ("eigen", 1, None)]
+        calls = [(kind, n) for kind, n, _ in verify.report_plan()]
 
         def reports():
-            return [
-                verify.residual_report(kind, params, default_grid, n=n, h=h)
-                for kind, n, h in calls
-            ]
+            return [verify.residual_report(kind, params, default_grid, n=n) for kind, n in calls]
 
         alone = reports()
         with verify.shared():
             scoped = reports()
         assert verify._shared is None
         assert scoped == alone
-        assert scoped[-3] != scoped[calls.index(("eigen", 1, None))]
 
     def test_scope_is_open_only_inside_verify(self, monkeypatch, tmp_path):
         scoped = _watch_scope(monkeypatch)
@@ -506,7 +487,7 @@ def test_partner_checks_difference_the_library_states(params, default_grid, monk
         for n in range(4):
             residual_report("eigen", params, default_grid, n=n)
         residual_report("new_state", params, default_grid)
-        step, _, _ = verify._grid_state(params, default_grid).partner(verify.KINDS["eigen"].h)
+        step, _, _ = verify._grid_state(params, default_grid).partner
     xs = default_grid.points()
     positions = np.stack([xs + c * step for c in verify._D2_OFFSETS])
     library = [susy.partner_eigenfunction(params, n, positions) for n in range(4)]

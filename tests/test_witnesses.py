@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from susypiv import TransformParams, family_grid_eval, partner_potential, seed_eval_grid
-from susypiv.verify import _excluded
+from susypiv.grid import excluded as excluded_by
 
 # |got - exact| / (1 + |exact|) allowed; the -eps side measures at most
 # 3.4e-12 (g_1), 5.6e-14 (V~).
@@ -101,7 +101,7 @@ def _check(s, m, families):
         got[family], exact[family] = g, []
         excluded = np.zeros(XS.shape, dtype=bool)
         for mag, local_scale in denoms.values():
-            excluded |= _excluded(mag, local_scale)
+            excluded |= excluded_by(mag, local_scale)
         vanishing[family] = excluded
     for i, x in enumerate(XS):
         x = Fraction(float(x))
