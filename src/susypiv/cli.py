@@ -217,41 +217,32 @@ def _run_verify(config: RunConfig, stream) -> int:
     saturated = 0
     for params in param_sets:
         label = _params_label(params)
-        with verify.shared():
-            for kind, n, kind_label in verify.report_plan():
-                try:
-                    report = verify.residual_report(kind, params, grid, n=n)
-                except AllPointsExcluded:
-                    saturated += 1
-                    print(f"{label}  {kind_label:<14} SATURATED (all points singular)", file=stream)
-                    entries.append({"params": label, "kind": kind_label, "saturated": True})
-                    continue
-                except LevelAnnihilated:
-                    # Not a check: the state is zero (a degenerate seed).
-                    print(f"{label}  {kind_label:<14} ANNIHILATED (level vanishes identically)", file=stream)
-                    entries.append({"params": label, "kind": kind_label, "annihilated": True})
-                    continue
-                limit = verify.threshold_for(report.kind)
+        for kind, n, kind_label in verify.report_plan():
+            try:
+                report = verify.residual_report(kind, params, grid, n=n)
+            except AllPointsExcluded:
+                saturated += 1
+                entry, verdict = {"saturated": True}, "SATURATED (all points singular)"
+            except LevelAnnihilated:
+                # Not a check: the state is zero (a degenerate seed).
+                entry, verdict = {"annihilated": True}, "ANNIHILATED (level vanishes identically)"
+            else:
+                limit = verify.threshold_for(kind_label)
                 ok = report.max_relative <= limit
-                if not ok:
-                    failures += 1
-                print(
-                    f"{label}  {report.kind:<14} max={report.max_relative:.3e} "
-                    f"mean={report.mean_relative:.3e} excluded={len(report.excluded_points)} "
-                    f"limit={limit:.0e}  {'PASS' if ok else 'FAIL'}",
-                    file=stream,
+                failures += not ok
+                entry = {
+                    "max_relative": report.max_relative,
+                    "mean_relative": report.mean_relative,
+                    "n_excluded": len(report.excluded_points),
+                    "threshold": limit,
+                    "passed": ok,
+                }
+                verdict = (
+                    f"max={report.max_relative:.3e} mean={report.mean_relative:.3e} "
+                    f"excluded={len(report.excluded_points)} limit={limit:.0e}  {'PASS' if ok else 'FAIL'}"
                 )
-                entries.append(
-                    {
-                        "params": label,
-                        "kind": report.kind,
-                        "max_relative": report.max_relative,
-                        "mean_relative": report.mean_relative,
-                        "n_excluded": len(report.excluded_points),
-                        "threshold": limit,
-                        "passed": ok,
-                    }
-                )
+            print(f"{label}  {kind_label:<14} {verdict}", file=stream)
+            entries.append({"params": label, "kind": kind_label, **entry})
     total = len(entries)
     print(f"verify: {total} reports, {failures} failed, {saturated} saturated", file=stream)
     if config.output_path:

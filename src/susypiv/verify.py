@@ -43,15 +43,15 @@ summed is read, not summed:
   stencil is summed in one engine call;
 - riccati sums its own stencil.
 
-A report builds its own state, except inside ``shared()``, where the reports
-on one parameter set and grid read the same one.  The CLI runs each
-parameter set's reports inside ``shared()``, so a default ``verify`` sums
-the seed 5 times and ``verify --all`` 25.
+The last state built is kept, as the seed keeps its last chain, and the
+reports on one parameter set and grid read it, so a default ``verify`` sums
+the seed 5 times and ``verify --all`` 25.  It stays alive after the report
+returns, about 241 bytes a grid point, until a report on another set or
+grid replaces it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import sys
@@ -107,6 +107,7 @@ class _GridState:
 
     def __init__(self, params: TransformParams, grid: Grid):
         self.params = params
+        self.key = (seed._key(params), grid)
         self.xs = grid.points()
         self.xs.flags.writeable = False
 
@@ -141,44 +142,29 @@ class _GridState:
         return step, u, beta
 
 
-# The grid states kept while ``shared()`` is open, by (seed._key(params), grid):
-# the one most recently asked for.
-_shared: dict | None = None
-
-
-@contextlib.contextmanager
-def shared():
-    """While the block runs, the reports on one parameter set and grid read
-    one ``_GridState``, built by the first of them; a report on another set
-    or grid replaces it.  Keyed by ``seed._key``, so that -0.0 and 0.0 keep
-    their own states."""
-    global _shared
-    outer, _shared = _shared, {}
-    try:
-        yield
-    finally:
-        _shared = outer
+_last_state: _GridState | None = None
 
 
 def _grid_state(params: TransformParams, grid: Grid) -> _GridState:
-    if _shared is None:
-        return _GridState(params, grid)
+    """The grid state of ``params`` on ``grid``; the last one built is kept.
+    Keyed by ``seed._key``, so that -0.0 and 0.0 keep their own states."""
+    global _last_state
     key = (seed._key(params), grid)
-    state = _shared.get(key)
-    if state is None:
-        _shared.clear()
-        state = _shared[key] = _GridState(params, grid)
-    return state
+    if _last_state is None or _last_state.key != key:
+        _last_state = _GridState(params, grid)
+    return _last_state
 
 
-def _step(h, default):
-    """``fd_derivative``'s step: ``default`` when ``h`` is None, else ``h``
-    checked: positive, finite, and with 0.25 h^3 a normal double."""
+def _step(h, order):
+    """``fd_derivative``'s step: the default of ``order`` when ``h`` is None,
+    else ``h`` checked: positive, finite, and with the smallest divisor of
+    the order's difference, h for order 1 and 0.25 h^2 for order 2, a
+    normal double."""
     if h is None:
-        return default
+        return _H_ORDER1 if order == 1 else _H_ORDER2
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be positive and finite, got {h!r}")
-    if 0.25 * h * h * h < sys.float_info.min:
+    if (h if order == 1 else 0.25 * h * h) < sys.float_info.min:
         raise ValueError(f"h is too small to difference with, got {h!r}")
     return h
 
@@ -209,13 +195,17 @@ def fd_derivative(f, x, order: int = 1, h: float | None = None):
     """Centered difference with one Richardson step (h and h/2), O(h^4), on
     the engine ``_on_offsets``.  ``f`` maps an ndarray of positions to values;
     a scalar ``x`` gives a Python complex, the bits of its array element.
-    EvaluationFailed when ``f`` raises a SusypivError or a value is non-finite."""
+    ValueError when some x +- h/2 rounds to x; EvaluationFailed when ``f``
+    raises a SusypivError or a value is non-finite."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    h = _step(h, _H_ORDER1 if order == 1 else _H_ORDER2)
+    h = _step(h, order)
     offsets, difference = (_D1_OFFSETS, _d1) if order == 1 else (_D2_OFFSETS, _d2)
 
     def values(xs):
+        # A non-finite x is left to fail as a non-finite stencil point.
+        if np.any(np.isfinite(xs) & ((xs + 0.5 * h == xs) | (xs - 0.5 * h == xs))):
+            raise ValueError(f"h is too small to difference with at some x, got {h!r}")
         try:
             v = _on_offsets(f, xs, [c * h for c in offsets])
         except SusypivError as exc:

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from susypiv import Grid
+from susypiv import Grid, seed, verify
 from susypiv.verify import BENCHMARK_PARAMS
 
 # Interpreters the tests start import susypiv from this checkout too, as the
@@ -40,6 +40,14 @@ def oracle_seed(params, x):
         u = envelope * (m1 + c * x * m2)
         up = -x * u + envelope * (4 * x * a1 * s1 + c * m2 + 2 * c * z * (a2 / 1.5) * s2)
         return complex(u), complex(up)
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Each test starts with no seed chain and no verify grid state kept, so
+    that the work a test pins does not depend on the tests run before it."""
+    seed._last_chain = None
+    verify._last_state = None
 
 
 @pytest.fixture(scope="session")

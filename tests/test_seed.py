@@ -112,7 +112,6 @@ def test_recessive_real_seed_against_oracle():
 class TestDeterminism:
     def test_extending_the_chain_changes_no_value(self, monkeypatch):
         xs = np.linspace(-5.0, 5.0, 1001)
-        monkeypatch.setattr(seed, "_last_chain", None)
         before = seed_eval_grid(SET_1, xs)
         seed_u(SET_1, np.array([-26.0, 26.0]))
         after = seed_eval_grid(SET_1, xs)
@@ -173,8 +172,7 @@ FUSED_CASES = [(p, _GRID) for p in BENCHMARK_PARAMS] + [
 @pytest.mark.parametrize(
     "params,xs", FUSED_CASES, ids=PARAM_IDS + ["stencil", "shuffled", "wide-26"]
 )
-def test_one_pass_sum_matches_the_two_table_sums(monkeypatch, params, xs):
-    monkeypatch.setattr(seed, "_last_chain", None)
+def test_one_pass_sum_matches_the_two_table_sums(params, xs):
     u, up, terms = _two_table_sums(params, xs)
     assert terms > 1
     got_u, got_up = seed._chain(params).evaluate(xs, True)
@@ -187,7 +185,6 @@ def test_one_pass_sum_with_a_single_term(monkeypatch):
     # With _TRIM = 1 each centre keeps only its largest term at |t| = h/2:
     # c_0 on [-1, 1], where u' is then row 1 (zero) times 1.
     monkeypatch.setattr(seed, "_TRIM", 1.0)
-    monkeypatch.setattr(seed, "_last_chain", None)
     seed_u(SET_1, np.array([-26.0, 26.0]))  # centres with longer columns too
     xs = np.linspace(-1.0, 1.0, 201)
     u, up, terms = _two_table_sums(SET_1, xs)
@@ -235,7 +232,6 @@ def test_schrodinger_fails_when_the_recurrence_energy_is_wrong(monkeypatch, para
         return original(x0, c0, c1, eps * (1.0 + 1e-6), *rest)
 
     monkeypatch.setattr(seed, "_series", mutated)
-    monkeypatch.setattr(seed, "_last_chain", None)
     report = residual_report("schrodinger", params, default_grid)
     assert report.max_relative > THRESHOLDS["schrodinger"]
 
@@ -509,9 +505,8 @@ class TestLocateRealZeros:
             same_sign = seed_u(params, mid).real * seed_u(params, lo).real > 0.0
             lo, hi = (mid, hi) if same_sign else (lo, mid)
         grid = Grid(lo - 5.0, lo + 5.0, 0.01)
-        with verify.shared():
-            report = residual_report("new_state", params, grid)
-            by_report = verify._grid_state(params, grid).u_excluded
+        report = residual_report("new_state", params, grid)
+        by_report = verify._grid_state(params, grid).u_excluded
         monkeypatch.setattr(seed, "sign_change_brackets", lambda u: np.empty(0, dtype=int))
         flagged = locate_real_zeros(params, grid)
         assert flagged and flagged == grid.points()[by_report].tolist()

@@ -1,8 +1,8 @@
-import contextlib
 import io
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -57,11 +57,20 @@ class TestFdDerivative:
             fd_derivative(lambda t: t, 0.0, order=1, h=0.0)
         with pytest.raises(ValueError):
             fd_derivative(lambda t: t, 0.0, order=1, h=float("nan"))
-        # 0.25 h^3 is below the smallest normal double: no order takes h.
+        # 0.25 h^2, order 2's smallest divisor, is below the smallest normal
+        # double; 1 +- h/2 rounds to 1.
         with pytest.raises(ValueError, match="too small"):
             fd_derivative(lambda t: t * t, 1.0, order=2, h=1e-170)
         with pytest.raises(ValueError, match="too small"):
             fd_derivative(lambda t: t, 1.0, order=1, h=1e-300)
+        # Every divisor is a normal double, but a stencil position rounds to
+        # x, where the differences would read 0.
+        with pytest.raises(ValueError, match="too small"):
+            fd_derivative(lambda t: t * t, 1.0, order=2, h=1e-100)
+        with pytest.raises(ValueError, match="too small"):
+            fd_derivative(lambda t: t * t, 1.0, order=1, h=1e-20)
+        with pytest.raises(ValueError, match="too small"):
+            fd_derivative(lambda t: t * t, np.array([0.0, 1e6]), order=2, h=1e-12)
 
     def test_singular_stencil_point_fails(self):
         def f(t):
@@ -83,11 +92,13 @@ class TestResidualReport:
 
     def test_monotone_refinement(self, coarse_grid, monkeypatch):
         # In the truncation-dominated regime halving h must not lose accuracy
-        # by more than a factor two on a smooth parameter set.  A report made
-        # outside shared() builds its own state, so it reads the step set here.
+        # by more than a factor two on a smooth parameter set.  The kept
+        # state's partner stencil has the step of its first use, so each
+        # report starts from a fresh state, which reads the step set here.
         monkeypatch.setattr(verify, "_H_ORDER2", 1e-2)
         big = residual_report("schrodinger", SET_1, coarse_grid)
         monkeypatch.setattr(verify, "_H_ORDER2", 5e-3)
+        monkeypatch.setattr(verify, "_last_state", None)
         small = residual_report("schrodinger", SET_1, coarse_grid)
         assert small.max_relative <= 2.0 * big.max_relative
 
@@ -160,8 +171,7 @@ WIDE_GRID = Grid(-12.0, 12.0, 0.01)
 
 def _verify_reports(params, grid):
     """The reports of a default verify run on one set and grid."""
-    with verify.shared():
-        return [residual_report(kind, params, grid, n=n) for kind, n, _ in verify.report_plan()]
+    return [residual_report(kind, params, grid, n=n) for kind, n, _ in verify.report_plan()]
 
 
 class TestLocalExclusion:
@@ -252,7 +262,6 @@ class TestStencilEngine:
 
         monkeypatch.setattr(kummer, "kummer_m", counting)
         monkeypatch.setattr(seed._Chain, "evaluate", counting_evaluate)
-        monkeypatch.setattr(seed, "_last_chain", None)
         config = cli.RunConfig(
             command="verify", epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0
         )
@@ -271,7 +280,6 @@ class TestStencilEngine:
                 super().__init__(params)
 
         monkeypatch.setattr(seed, "_Chain", CountingChain)
-        monkeypatch.setattr(seed, "_last_chain", None)
         config = cli.RunConfig(command="verify", run_all=True)
         assert cli.run(config, io.StringIO()) == 0
         assert built == list(BENCHMARK_PARAMS)
@@ -305,7 +313,7 @@ def _run_recorded(monkeypatch, config):
         return stream.getvalue(), fh.read(), calls
 
 
-def _alone(kind, params, grid, n):
+def _outcome(kind, params, grid, n):
     """The report, or the type of the error, of one residual_report call."""
     try:
         return residual_report(kind, params, grid, n=n)
@@ -313,19 +321,10 @@ def _alone(kind, params, grid, n):
         return type(exc)
 
 
-def _watch_scope(monkeypatch):
-    """Record, after each seed evaluation, whether ``shared()`` is open."""
-    scoped = []
-    evaluate = seed._Chain.evaluate
-
-    def watching(chain, xs, derivative):
-        try:
-            return evaluate(chain, xs, derivative)
-        finally:
-            scoped.append(verify._shared is not None)
-
-    monkeypatch.setattr(seed._Chain, "evaluate", watching)
-    return scoped
+def _alone(kind, params, grid, n):
+    """``_outcome`` on a fresh grid state."""
+    verify._last_state = None
+    return _outcome(kind, params, grid, n)
 
 
 class TestSharedGridState:
@@ -355,10 +354,10 @@ class TestSharedGridState:
         stdout, report, calls = _run_recorded(monkeypatch, config)
         assert len(built) == sets and len(calls) == 11 * sets
         assert [outcome for _, outcome in calls] == [_alone(*call) for call, _ in calls]
-        # Without the scope every report builds its own state, and the
-        # stdout and JSON keep every byte.
+        # With no state kept every report builds its own, and the stdout
+        # and JSON keep every byte.
         built.clear()
-        monkeypatch.setattr(verify, "shared", contextlib.nullcontext)
+        monkeypatch.setattr(verify, "_grid_state", verify._GridState)
         assert _run_recorded(monkeypatch, config)[:2] == (stdout, report)
         assert len(built) == 11 * sets
 
@@ -374,16 +373,14 @@ class TestSharedGridState:
         fresh = {p.lam.hex(): bits(seed.seed_eval_grid(p, default_grid.points())) for p in (plus, minus)}
         assert fresh["0x0.0p+0"] != fresh["-0x0.0p+0"]
         plan = verify.report_plan()
-        states, scoped = [], []
-        with verify.shared():
-            for params in (plus, minus, plus):
-                states.append(verify._grid_state(params, default_grid))
-                assert bits(states[-1].values) == fresh[params.lam.hex()]
-                scoped.append([_alone(kind, params, default_grid, n) for kind, n, _ in plan])
-                assert verify._grid_state(params, default_grid) is states[-1]
-        assert verify._shared is None
+        states, kept = [], []
+        for params in (plus, minus, plus):
+            states.append(verify._grid_state(params, default_grid))
+            assert bits(states[-1].values) == fresh[params.lam.hex()]
+            kept.append([_outcome(kind, params, default_grid, n) for kind, n, _ in plan])
+            assert verify._grid_state(params, default_grid) is states[-1]
         assert len({id(state) for state in states}) == 3
-        for params, reports in zip((plus, minus, plus), scoped):
+        for params, reports in zip((plus, minus, plus), kept):
             assert reports == [_alone(kind, params, default_grid, n) for kind, n, _ in plan]
 
     def test_horner_sums_per_verify_run(self, monkeypatch):
@@ -393,8 +390,8 @@ class TestSharedGridState:
         # read, and what annihilation does not read from the grid and the
         # partner stencil (2).  With schrodinger's stencil summed apart and
         # the partner's centre summed again a default run summed 8 times,
-        # without the shared partner stencil 16, and with no shared state at
-        # all 26.  The points summed pin annihilation's share, which leaves
+        # without the shared partner stencil 16, and with no state kept for
+        # the set 26.  The points summed pin annihilation's share, which leaves
         # its chunk count as it is: 66,835 for --all, 110,110 with no rows
         # shared.
         sums = []
@@ -407,7 +404,14 @@ class TestSharedGridState:
         monkeypatch.setattr(seed, "_horner", counting)
         assert cli.run(cli.RunConfig(command="verify", **_SET_1_FLAGS), io.StringIO()) == 0
         assert len(sums) == 5
+        # The first set of --all is the one just verified, whose state is
+        # kept: its grid (1001 points) and partner stencil (4004) are not
+        # summed again.  From a fresh state they are.
         sums.clear()
+        assert cli.run(cli.RunConfig(command="verify", run_all=True), io.StringIO()) == 0
+        assert (len(sums), sum(sums)) == (23, 61_830)
+        sums.clear()
+        verify._last_state = None
         assert cli.run(cli.RunConfig(command="verify", run_all=True), io.StringIO()) == 0
         assert (len(sums), sum(sums)) == (25, 66_835)
 
@@ -418,41 +422,15 @@ class TestSharedGridState:
         def reports():
             return [verify.residual_report(kind, params, default_grid, n=n) for kind, n in calls]
 
-        alone = reports()
-        with verify.shared():
-            scoped = reports()
-        assert verify._shared is None
-        assert scoped == alone
-
-    def test_scope_is_open_only_inside_verify(self, monkeypatch, tmp_path):
-        scoped = _watch_scope(monkeypatch)
-        assert cli.run(cli.RunConfig(command="verify"), io.StringIO()) == 0
-        assert scoped and all(scoped)
-        assert verify._shared is None
-        scoped.clear()
-        config = cli.RunConfig(command="potential", output_path=str(tmp_path / "v.csv"))
-        assert cli.run(config, io.StringIO()) == 0
-        assert scoped and not any(scoped)
-
-    @pytest.mark.parametrize(
-        "overrides, code",
-        [
-            # eigen(2) raises LevelAnnihilated, which the report loop catches.
-            (dict(epsilon_re=5.0), 0),
-            # The chain stops near |x| = 36.6, and NoConvergence ends the run.
-            (dict(_SET_1_FLAGS, xmin=-40.0, xmax=40.0), 2),
-        ],
-        ids=["annihilated", "no-convergence"],
-    )
-    def test_scope_closes_when_a_kind_raises(self, monkeypatch, overrides, code):
-        scoped = _watch_scope(monkeypatch)
-        config = cli.RunConfig(command="verify", **overrides)
-        assert cli.run(config, io.StringIO()) == code
-        assert scoped and all(scoped)
-        assert verify._shared is None
+        # Each report alone on a fresh state, then all on the one kept.
+        alone = []
+        for kind, n in calls:
+            verify._last_state = None
+            alone.append(verify.residual_report(kind, params, default_grid, n=n))
+        assert reports() == alone
 
     def test_memory_stays_bounded(self, monkeypatch):
-        # The shared state holds the partner-state stencil for the whole
+        # The kept state holds the partner-state stencil for the whole
         # parameter set: u and beta at 5 offsets, 160 bytes a grid point
         # (10,001 points here), where each report would hold it only while it
         # runs.  Nothing more may stay.
@@ -462,6 +440,7 @@ class TestSharedGridState:
 
         def peak():
             monkeypatch.setattr(seed, "_last_chain", None)
+            monkeypatch.setattr(verify, "_last_state", None)
             tracemalloc.start()
             try:
                 assert cli.run(config, io.StringIO()) == 0
@@ -469,10 +448,32 @@ class TestSharedGridState:
             finally:
                 tracemalloc.stop()
 
-        scoped = peak()
-        monkeypatch.setattr(verify, "shared", contextlib.nullcontext)
+        kept = peak()
+        monkeypatch.setattr(verify, "_grid_state", verify._GridState)
         alone = peak()
-        assert scoped - alone <= 160 * points + 0.5 * 2**20
+        assert kept - alone <= 160 * points + 0.5 * 2**20
+
+    def test_one_state_stays_until_another_set(self):
+        # After a run the last set's state stays, about 241 bytes a grid
+        # point: xs, u, u', beta and beta', the u exclusion mask, and the
+        # partner stencil's step and its u and beta at 5 offsets.  No second
+        # state stays beside it, and a report on another set releases it.
+        config = cli.RunConfig(command="verify", step=1e-3, **_SET_1_FLAGS)
+        points = config.grid().n_points
+        assert cli.run(config, io.StringIO()) == 0
+        verify._last_state = None  # the set's chain stays, built untraced
+        tracemalloc.start()
+        try:
+            assert cli.run(config, io.StringIO()) == 0
+            kept = tracemalloc.get_traced_memory()[0]
+            state = weakref.ref(verify._last_state)
+            residual_report("riccati", BENCHMARK_PARAMS[1], Grid(-1.0, 1.0, 0.5))
+            released = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert state() is None
+        assert 240 * points <= kept <= 250 * points + 2**16
+        assert kept - released >= 240 * points - 2**16
 
 
 @pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
@@ -483,11 +484,10 @@ def test_partner_checks_difference_the_library_states(params, default_grid, monk
     differenced = []
     d2 = verify._d2
     monkeypatch.setattr(verify, "_d2", lambda v, h: differenced.append(v) or d2(v, h))
-    with verify.shared():
-        for n in range(4):
-            residual_report("eigen", params, default_grid, n=n)
-        residual_report("new_state", params, default_grid)
-        step, _, _ = verify._grid_state(params, default_grid).partner
+    for n in range(4):
+        residual_report("eigen", params, default_grid, n=n)
+    residual_report("new_state", params, default_grid)
+    step, _, _ = verify._grid_state(params, default_grid).partner
     xs = default_grid.points()
     positions = np.stack([xs + c * step for c in verify._D2_OFFSETS])
     library = [susy.partner_eigenfunction(params, n, positions) for n in range(4)]
@@ -532,8 +532,7 @@ class TestSharedRows:
             residual_report(kind, params, grid, n=n)
             return differenced[-1]
 
-        with verify.shared():
-            got = [rows("schrodinger"), *(rows("eigen", n) for n in range(4)), rows("annihilation")]
+        got = [rows("schrodinger"), *(rows("eigen", n) for n in range(4)), rows("annihilation")]
 
         def at(offsets, step):
             return np.stack([xs + c * step for c in offsets])
@@ -548,15 +547,15 @@ class TestSharedRows:
 
     @pytest.mark.parametrize("params, grid", _PARTLY_SHARED, ids=["capped", "half-shared"])
     def test_scoped_reports_equal_bare_ones_in_any_order(self, params, grid):
-        # A report reads the same bits from a shared state, whichever
+        # A report reads the same bits from the kept state, whichever
         # reports ran on it before.
         plan = [(kind, n) for kind, n, _ in verify.report_plan()]
         unordered = [("eigen", 2), ("eigen", 1), ("annihilation", None), ("eigen", 3), ("eigen", 0)]
         bare = {(kind, n): _alone(kind, params, grid, n) for kind, n in plan}
         for calls in (plan, unordered):
-            with verify.shared():
-                scoped = [_alone(kind, params, grid, n) for kind, n in calls]
-            assert scoped == [bare[call] for call in calls]
+            verify._last_state = None
+            kept = [_outcome(kind, params, grid, n) for kind, n in calls]
+            assert kept == [bare[call] for call in calls]
 
 
 def _nested_fd1(fn, xs, h):
@@ -688,10 +687,9 @@ def test_a_wide_grid_catches_a_wrong_beta(monkeypatch):
     # Where |u| is large, 1/u and the residuals that carry it are tiny, so a
     # wrong beta shows only near the origin (|x| < 1.5, |u| < 1e4).
     _perturb_beta(monkeypatch, 1.0 + 1e-5)
-    with verify.shared():
-        for kind, n in (("annihilation", None), ("eigen", 1), ("eigen", 3)):
-            report = residual_report(kind, WIDE_SET, WIDE_GRID, n=n)
-            assert report.max_relative > _MUTATION_MARGIN * THRESHOLDS[kind], report
+    for kind, n in (("annihilation", None), ("eigen", 1), ("eigen", 3)):
+        report = residual_report(kind, WIDE_SET, WIDE_GRID, n=n)
+        assert report.max_relative > _MUTATION_MARGIN * THRESHOLDS[kind], report
 
 
 @pytest.mark.xfail(
