@@ -111,7 +111,7 @@ _COMMANDS = {
     "spectrum": (("index", "re", "im", "off_real_axis", "degenerate"), _spectrum),
     "extremal": (("x", "re", "im"), _extremal),
 }
-_HEADERS = {name: header for name, (header, _) in _COMMANDS.items()}
+_HEADERS = {name: header for name, (header, _) in _COMMANDS.items()}  # for bench/selftest.py
 _BLOCK = 8192  # grid points computed, and rows formatted, per block
 
 
@@ -261,7 +261,7 @@ def run(config: RunConfig, stream=None) -> int:
         config.params()
         if config.command == "verify":
             return _run_verify(config, stream)
-        if config.command not in _HEADERS:
+        if config.command not in _COMMANDS:
             print(f"unknown command {config.command!r}", file=sys.stderr)
             return 2
         if config.command in ("piv", "extremal") and config.family not in painleve.FAMILIES:
@@ -281,9 +281,6 @@ def run(config: RunConfig, stream=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except AllPointsExcluded as exc:
-        print(f"singular saturation: {exc}", file=sys.stderr)
-        return 3
     except SusypivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seed
+from . import seed, susy
 from .errors import BadFamily
 from .seed import TransformParams
 
@@ -143,9 +143,6 @@ def _from_seed(params: TransformParams, family: int, xs, beta, beta_prime):
 
 
 def extremal_state_grid(params: TransformParams, family: int, xs):
-    """Unnormalized extremal-state samples over an array of positions."""
-    state = _family(family).state
-    xs = np.asarray(xs, dtype=float)
-    u, _, beta, beta_prime = seed.seed_eval_grid(params, xs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return state(xs, u, beta, beta_prime)
+    """Unnormalized extremal-state samples at scalar or array positions, read
+    through ``susy._on_seed``: a scalar raises SingularPoint where u is singular."""
+    return susy._on_seed(params, xs, _family(family).state)

@@ -116,8 +116,9 @@ def normalize(values, grid: Grid) -> float:
         raise NotNormalizable("identically vanishing samples")
     if mag[0] > _TAIL_REL * peak or mag[-1] > _TAIL_REL * peak:
         raise NotNormalizable("grid tails have not decayed")
-    sq = mag * mag
-    integral = grid.step * (float(np.sum(sq)) - 0.5 * (float(sq[0]) + float(sq[-1])))
+    with np.errstate(over="ignore"):  # an infinite integral is refused below
+        sq = mag * mag
+        integral = grid.step * (float(np.sum(sq)) - 0.5 * (float(sq[0]) + float(sq[-1])))
     if not math.isfinite(integral) or integral <= 0.0 or integral > _OVERFLOW:
         raise NotNormalizable(f"quadrature value {integral!r} out of range")
     return integral**-0.5

@@ -26,10 +26,11 @@ flattens the stack and evaluates the function over it in chunks of at most
 offset, and the series work space of each call stays bounded.
 
 Every kind reads the seed from one ``_GridState``: u, u', beta and beta' on
-the grid, the points that the denominator u excludes, and u and beta on the
-partner-state stencil (step 1e-3 capped by beta); each is built on first
-use.  A stencil row whose positions equal, as doubles, positions already
-summed is read, not summed:
+the grid and the points that the denominator u excludes, built with the
+state, and u and beta on the partner-state stencil (step 1e-3 capped by
+beta), built on first use, as riccati and the piv families never read it.
+A stencil row whose positions equal, as doubles, positions already summed is
+read, not summed:
 
 - the partner stencil's centre is u and beta on the grid, and only its four
   other offsets are summed;
@@ -47,7 +48,7 @@ The last state built is kept, as the seed keeps its last chain, and the
 reports on one parameter set and grid read it, so a default ``verify`` sums
 the seed 5 times and ``verify --all`` 25.  It stays alive after the report
 returns, about 241 bytes a grid point, until a report on another set or
-grid replaces it.
+grid replaces it; it is released before its successor is built.
 """
 
 from __future__ import annotations
@@ -102,29 +103,18 @@ class ResidualReport:
 class _GridState:
     """The seed on the grid of one parameter set, read by every kind: ``xs``,
     ``values`` = (u, u', beta, beta') there, ``u_excluded``, the points that
-    the denominator u excludes, and ``partner``, the partner-state stencil.
-    Each is built on first use and read-only."""
+    the denominator u excludes, built with the state, and ``partner``, the
+    partner-state stencil, built on first use.  Each is read-only."""
 
     def __init__(self, params: TransformParams, grid: Grid):
         self.params = params
         self.key = (seed._key(params), grid)
         self.xs = grid.points()
-        self.xs.flags.writeable = False
-
-    @functools.cached_property
-    def values(self):
-        values = seed.seed_eval_grid(self.params, self.xs)
-        for v in values:
-            v.flags.writeable = False
-        return values
-
-    @functools.cached_property
-    def u_excluded(self):
+        self.values = seed.seed_eval_grid(params, self.xs)
         u, up, _, _ = self.values
-        ((mag, local_scale),) = seed.u_denominator(u, up).values()
-        u_excluded = excluded(mag, local_scale)
-        u_excluded.flags.writeable = False
-        return u_excluded
+        self.u_excluded = excluded(*seed.u_denominator(u, up)["u"])
+        for v in (self.xs, *self.values, self.u_excluded):
+            v.flags.writeable = False
 
     @functools.cached_property
     def partner(self):
@@ -151,6 +141,7 @@ def _grid_state(params: TransformParams, grid: Grid) -> _GridState:
     global _last_state
     key = (seed._key(params), grid)
     if _last_state is None or _last_state.key != key:
+        _last_state = None  # released before the new state's arrays exist
         _last_state = _GridState(params, grid)
     return _last_state
 

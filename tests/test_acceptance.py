@@ -25,7 +25,7 @@ from susypiv.cli import RunConfig, run
 from susypiv.painleve import family_grid_eval
 from susypiv.verify import BENCHMARK_PARAMS
 
-from conftest import PARAM_IDS
+from conftest import PARAM_IDS, oracle_seed
 
 GRID = Grid(-5.0, 5.0, 0.01)
 
@@ -170,13 +170,35 @@ def test_criterion_12_special_function_layer():
     _passed(12, f"1F1 vs oracle on {checked} points (worst {worst:.1e})")
 
 
+# h of each family's extremal state, g = -x - h, from beta and its first two
+# derivatives (painleve's table rows, written out here).
+_H = {
+    1: lambda x, b, bp, bpp: b + bpp / (bp - 1.0),
+    2: lambda x, b, bp, bpp: -x + (1.0 + bp) / (x + b),
+    3: lambda x, b, bp, bpp: -b,
+}
+
+
+def _g_closed_form(params, family, x):
+    """g at x from mpmath's seed (``conftest.oracle_seed``) through the
+    closed forms beta = u'/u, beta' = x^2 - eps - beta^2 and
+    beta'' = 2x - 2 beta beta'."""
+    u, up = oracle_seed(params, x)
+    beta = up / u
+    beta_p = x * x - params.epsilon - beta * beta
+    beta_pp = 2.0 * x - 2.0 * beta * beta_p
+    return -x - _H[family](x, beta, beta_p, beta_pp)
+
+
 def test_criterion_13_figure_data_emission(tmp_path):
-    # The three displayed solution families, one CLI invocation each.
+    # The three displayed solution families, one CLI invocation each; g at
+    # x = -5, -4, ..., 5 against the closed form on the mpmath seed.
     cases = [
         (1, dict(epsilon_re=-1.0, epsilon_im=1e-2, lam=1.0, kappa=1.0)),
         (2, dict(epsilon_re=4.0, epsilon_im=0.5, lam=1.0, kappa=1.0)),
         (3, dict(epsilon_re=1.0, epsilon_im=1.0, lam=3.0, kappa=1.0)),
     ]
+    worst = 0.0
     for family, kw in cases:
         out = tmp_path / f"family{family}.csv"
         config = RunConfig(command="piv", family=family, output_path=str(out), **kw)
@@ -187,4 +209,9 @@ def test_criterion_13_figure_data_emission(tmp_path):
         assert data.shape[0] == 1001
         assert np.all(np.isfinite(data))
         assert np.ptp(data[:, 1]) > 0.0 and np.ptp(data[:, 2]) > 0.0
-    _passed(13, "three solution-family data files: finite, complex-valued")
+        for x, re, im in data[::100, :3]:
+            g, want = complex(re, im), _g_closed_form(config.params(), family, float(x))
+            err = abs(g - want) / (1.0 + abs(want))
+            assert err <= 1e-9, (family, x, g, want)
+            worst = max(worst, err)
+    _passed(13, f"three solution-family data files against the mpmath seed (worst {worst:.1e})")

@@ -481,7 +481,7 @@ def _reference_rows(config):
 
 
 def _reference_text(config) -> str:
-    header, rows = cli._HEADERS[config.command], _reference_rows(config)
+    header, rows = cli._COMMANDS[config.command][0], _reference_rows(config)
     if config.format == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_reference_fmt(v) for v in row) for row in rows)

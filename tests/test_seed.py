@@ -12,6 +12,7 @@ from susypiv import (
     TransformParams,
     eigenfunction,
     eigenfunction_derivative,
+    extremal_state_grid,
     family_grid_eval,
     fd_derivative,
     kummer_m,
@@ -129,6 +130,9 @@ class TestDeterminism:
         for i in (0, 137, 500, 1000):
             ev = seed_eval(SET_1, xs[i])
             assert ev.u == u[i] and ev.u_prime == up[i]
+        # No positions: four empty complex arrays.
+        for v in seed_eval_grid(SET_1, np.empty(0)):
+            assert v.shape == (0,) and v.dtype == complex
         monkeypatch.setattr(verify, "_CHUNK", 64)
         offsets = [0.0, 1e-3, -1e-3]
         chunked = verify._on_offsets(lambda t: seed_eval_grid(SET_1, t)[0], xs, offsets)
@@ -205,6 +209,10 @@ ARRAY_PATH = {
     "eigenfunction_derivative": lambda p, x: eigenfunction_derivative(4, x),
     "kummer_m": lambda p, x: kummer_m((1.0 - p.epsilon) / 4.0, 0.5, x * x),
     "fd_derivative": lambda p, x: fd_derivative(lambda t: seed_u(p, t), x),
+    **{
+        f"extremal_state_grid_{family}": lambda p, x, family=family: extremal_state_grid(p, family, x)
+        for family in (1, 2, 3)
+    },
 }
 
 
@@ -333,6 +341,16 @@ class TestOverflowGuard:
         with pytest.raises(NoConvergence, match=r"overflowed the double range at x = 0"):
             seed_u(params, 0.0)
 
+    @pytest.mark.parametrize(
+        "x, match",
+        [(math.nan, "not finite"), (1e4, f"more than {seed._MAX_CENTRES} Taylor centres")],
+        ids=["nan", "past-the-centre-limit"],
+    )
+    def test_positions_out_of_reach(self, x, match):
+        # 1e4 needs 40,000 centres of step 1/4: refused before the chain grows.
+        with pytest.raises(NoConvergence, match=match):
+            seed_u(SET_1, x)
+
 
 class TestSeedEval:
     def test_log_derivative_at_origin(self):
@@ -376,11 +394,12 @@ class TestSeedEval:
             partner_potential,
             new_state,
             lambda p, x: partner_eigenfunction(p, 1, x),
+            *(ARRAY_PATH[f"extremal_state_grid_{family}"] for family in (1, 2, 3)),
         ]
         for entry in screening:
             with pytest.raises(SingularPoint):
                 entry(params, node)
-        for entry in (partner_potential, new_state):
+        for entry in (partner_potential, new_state, ARRAY_PATH["extremal_state_grid_3"]):
             assert entry(params, np.array([node])).shape == (1,)
         for family in (1, 2, 3):
             denoms = family_grid_eval(params, family, np.array([node]))[3]
@@ -420,6 +439,10 @@ class TestRealCaseLambda:
     def test_pole_raises(self):
         with pytest.raises(PoleArgument):
             real_case_lambda(0.5, 3.0)  # (3-eps)/4 = 0
+
+    def test_non_finite_energy_raises(self):
+        with pytest.raises(NoConvergence, match="not finite"):
+            real_case_lambda(0.5, math.nan)
 
     @pytest.mark.parametrize("epsilon", (7.0, -1.0 + 4.0 * 2**50))
     def test_infinite_ratio_raises(self, epsilon):
@@ -518,6 +541,8 @@ def test_sign_change_brackets_at_large_magnitude():
     # test must not overflow (tier-1 turns RuntimeWarnings into errors).
     u = np.array([3e200, -2e200, 1e200, 1e200]) * (1.0 + 1.0j)
     assert list(seed.sign_change_brackets(u)) == [0, 1]
+    # An all-zero u has no brackets.
+    assert seed.sign_change_brackets(np.zeros(4, dtype=complex)).size == 0
 
 
 def test_params_validation():

@@ -173,6 +173,21 @@ class TestNormalize:
         with pytest.raises(NotNormalizable):
             normalize(np.ones(grid.n_points, dtype=complex), grid)
 
+    @pytest.mark.parametrize(
+        "samples, match",
+        [
+            ([0.0, 0.0, math.nan, 0.0, 0.0], "non-finite"),
+            ([0.0] * 5, "identically vanishing"),
+            ([0.0, 0.0, 1e200, 0.0, 0.0], "quadrature value inf"),  # the square overflows
+            ([0.0, 1.2e154, 1.2e154, 1.2e154, 0.0], "quadrature value inf"),  # the sum does
+        ],
+        ids=["non-finite", "all-zero", "overflowing-square", "overflowing-sum"],
+    )
+    def test_degenerate_samples_rejected(self, samples, match):
+        # A typed error, with no numpy warning (tier-1 turns those into errors).
+        with pytest.raises(NotNormalizable, match=match):
+            normalize(np.array(samples), Grid(-1.0, 1.0, 0.5))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             normalize(np.ones(7), Grid(-1.0, 1.0, 0.5))

@@ -139,7 +139,7 @@ def test_growing_witness_is_exact(m):
             marks=pytest.mark.xfail(
                 strict=True,
                 raises=AssertionError,
-                reason="recessive seed: the computed u is swamped by the growing solution (ROADMAP item 5)",
+                reason="recessive seed: the computed u is swamped by the growing solution (ROADMAP item 3; item 4 would flag it)",
             ),
         )
         for m in range(5)
