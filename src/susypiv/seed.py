@@ -334,9 +334,9 @@ def seed_eval_grid(params: TransformParams, xs):
     """
     xs = np.asarray(xs, dtype=float)
     u, up = (v.reshape(xs.shape) for v in _chain(params).evaluate(xs.ravel(), derivative=True))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         beta = up / u
-    beta_prime = xs * xs - params.epsilon - beta * beta
+        beta_prime = xs * xs - params.epsilon - beta * beta
     return u, up, beta, beta_prime
 
 

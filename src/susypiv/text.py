@@ -82,11 +82,11 @@ def _words(cells):
     return np.ascontiguousarray(cells, dtype=np.uint8).view("<u8")
 
 
-def _table(texts, at=0):
-    """One word per text, its bytes at byte ``at`` and NUL elsewhere."""
+def _table(texts):
+    """One word per text, its bytes first and NUL after them."""
     cells = np.zeros((len(texts), 8), dtype=np.uint8)
     for i, t in enumerate(texts):
-        cells[i, at : at + len(t)] = np.frombuffer(t.encode(), dtype=np.uint8)
+        cells[i, : len(t)] = np.frombuffer(t.encode(), dtype=np.uint8)
     return _words(cells).ravel()
 
 

@@ -17,7 +17,10 @@ from one 7-offset stencil:
         + (beta beta' + x beta^2 - beta'' - beta - x beta') psi
 
 Each residual kind is one row of ``KINDS``, which ``residual_report``,
-``threshold_for`` and ``report_plan`` all read.
+``threshold_for`` and ``report_plan`` all read.  A kind gives the signed
+terms of its equation, and ``residual_report`` scores them all by one rule,
+|their sum| over 1 + the sum of their sizes, with numpy's warnings off: a
+point whose arithmetic leaves the double range is non-finite and excluded.
 
 Every stencil, the residual kinds' and ``fd_derivative``'s, goes through one
 engine, ``_on_offsets``: it stacks the grid shifted by each stencil offset,
@@ -244,13 +247,11 @@ def _capped(h, beta, cap=_POLE_CAP):
 
 def _relative(terms):
     """|sum of the signed terms, from the first| over 1 + the sum of their sizes."""
-    scale = 1.0
-    for t in terms:
-        scale = scale + np.abs(t)
+    scale = sum((np.abs(t) for t in terms), start=1.0)
     return np.abs(sum(terms[1:], start=terms[0])) / scale
 
 
-def _schrodinger_rel(s, n):
+def _schrodinger(s, n):
     # Where the cap leaves the partner's step at h, its stencil's u is this one.
     h = _H_ORDER2
     u, _, _, _ = s.values
@@ -259,44 +260,35 @@ def _schrodinger_rel(s, n):
     known = [(0, _ALL, u)] + [(k, uncapped, partner_u[k]) for k in range(1, len(_D2_OFFSETS))]
     offsets = [c * h for c in _D2_OFFSETS]
     upp = _d2(_on_offsets(lambda t: seed.seed_u(s.params, t), s.xs, offsets, known=known), h)
-    return _relative((-upp, s.xs * s.xs * u, -s.params.epsilon * u)), {}
+    return (-upp, s.xs * s.xs * u, -s.params.epsilon * u), {}
 
 
-def _riccati_rel(s, n):
+def _riccati(s, n):
     xs, (_, _, beta, _) = s.xs, s.values
     beta_fn = lambda t: seed.seed_eval_grid(s.params, t)[2]
     step = _capped(_H_ORDER1, beta)
     beta_p = _d1(_on_offsets(beta_fn, xs, [c * step for c in _D1_OFFSETS]), step)
-    eps = s.params.epsilon
-    resid = beta_p + beta * beta - xs * xs + eps
-    scale = 1.0 + np.abs(beta_p) + np.abs(beta) ** 2 + xs * xs + abs(eps)
-    return np.abs(resid) / scale, {}
+    return (beta_p, beta * beta, -xs * xs, s.params.epsilon), {}
 
 
-def _piv_rel(family, s, n):
+def _piv(family, s, n):
     _, _, beta, beta_p = s.values
     g, gp, gpp, denoms = painleve._from_seed(s.params, family, s.xs, beta, beta_p)
     a, b = painleve.piv_parameters(s.params, family)
-    with np.errstate(all="ignore"):
-        return _relative(painleve.piv_residual_terms(g, gp, gpp, s.xs, a, b)), denoms
+    return painleve.piv_residual_terms(g, gp, gpp, s.xs, a, b), denoms
 
 
-def _state_rel(s, state, energy):
-    """|-f'' + V~ f - E f| over the sum of its terms' sizes, for the partner
-    state f = ``state(t, u, beta)`` at energy E: its values at the positions
-    t of the partner-state stencil, from the seed's u and beta there."""
+def _partner_state(s, state, energy):
+    """The terms (-f'', V~ f, -E f) for the partner state f = ``state(t, u,
+    beta)`` at energy E: its values at the positions t of the partner-state
+    stencil, from the seed's u and beta there."""
     xs, (_, _, _, beta_p) = s.xs, s.values
     step, u, beta = s.partner
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = state(np.stack([xs + c * step for c in _D2_OFFSETS]), u, beta)
-    f, fpp = v[0], _d2(v, step)
-    vt = xs * xs - 2.0 * beta_p
-    resid = -fpp + vt * f - energy * f
-    scale = 1.0 + np.abs(fpp) + np.abs(vt * f) + abs(energy) * np.abs(f)
-    return np.abs(resid) / scale, {}
+    f = state(np.stack([xs + c * step for c in _D2_OFFSETS]), u, beta)
+    return (-_d2(f, step), (xs * xs - 2.0 * beta_p) * f[0], -energy * f[0]), {}
 
 
-def _eigen_rel(s, n):
+def _eigen(s, n):
     if n is None or not 0 <= n <= 10:
         raise ValueError("eigen residual requires 0 <= n <= 10")
     if susy.level_annihilated(s.params, n):
@@ -304,11 +296,11 @@ def _eigen_rel(s, n):
         raise LevelAnnihilated(f"eigen({n}): -psi_n' + beta psi_n vanishes identically")
     # susy.partner_eigenfunction's image of psi_n, on the partner stencil.
     image = lambda t, u, beta: susy._image(n, t, beta)
-    return _state_rel(s, image, float(2 * n + 1))
+    return _partner_state(s, image, float(2 * n + 1))
 
 
-def _new_state_rel(s, n):
-    return _state_rel(s, lambda t, u, beta: 1.0 / u, s.params.epsilon)
+def _new_state(s, n):
+    return _partner_state(s, lambda t, u, beta: 1.0 / u, s.params.epsilon)
 
 
 def _annihilation_terms(psi, d1, d2, d3, xs, beta, beta_p):
@@ -323,7 +315,7 @@ def _annihilation_terms(psi, d1, d2, d3, xs, beta, beta_p):
     )
 
 
-def _annihilation_rel(s, n):
+def _annihilation(s, n):
     # The third-order lowering operator annihilates the extremal state 1/u.
     # Offset 0 is the grid; offsets +-1/2 are the partner stencil's +-1
     # (its step _H_ORDER2 is half of _H_ORDER3) wherever the two caps leave
@@ -335,19 +327,17 @@ def _annihilation_rel(s, n):
     same = 0.5 * step == half
     known = [(0, _ALL, u), (3, same, partner_u[1]), (4, same, partner_u[2])]
     psi = _on_offsets(lambda t: seed.seed_u(s.params, t), xs, offsets, known=known)
-    with np.errstate(all="ignore"):
-        np.divide(1.0, psi, out=psi)
-        d1, d2, d3 = _d1(psi[1:5], step), _d2(psi[:5], step), _d3(psi, step)
-        terms = _annihilation_terms(psi[0], d1, d2, d3, xs, beta, beta_p)
-        return _relative(terms), {}
+    np.divide(1.0, psi, out=psi)
+    d1, d2, d3 = _d1(psi[1:5], step), _d2(psi[:5], step), _d3(psi, step)
+    return _annihilation_terms(psi[0], d1, d2, d3, xs, beta, beta_p), {}
 
 
 @dataclass(frozen=True)
 class _Kind:
-    """``residual(s, n)`` gives (relative residuals on the grid of the
-    ``_GridState`` s, non-finite where a point is singular for the check; its
-    exclusion denominators besides u), each kind differencing at its own
-    fixed step.  ``levels`` are the n of a verify run."""
+    """``residual(s, n)`` gives (the signed terms of the kind's equation on
+    the grid of the ``_GridState`` s, each kind differencing at its own fixed
+    step; its exclusion denominators besides u), which ``residual_report``
+    scores by ``_relative``.  ``levels`` are the n of a verify run."""
 
     residual: object
     threshold: float
@@ -355,15 +345,15 @@ class _Kind:
 
 
 KINDS = {
-    "schrodinger": _Kind(_schrodinger_rel, 1e-7),
-    "riccati": _Kind(_riccati_rel, 1e-7),
+    "schrodinger": _Kind(_schrodinger, 1e-7),
+    "riccati": _Kind(_riccati, 1e-7),
     **{
-        f"piv_family_{family}": _Kind(functools.partial(_piv_rel, family), 1e-8)
+        f"piv_family_{family}": _Kind(functools.partial(_piv, family), 1e-8)
         for family in painleve.FAMILIES
     },
-    "eigen": _Kind(_eigen_rel, 1e-6, levels=(0, 1, 2, 3)),
-    "new_state": _Kind(_new_state_rel, 1e-6),
-    "annihilation": _Kind(_annihilation_rel, 1e-6),
+    "eigen": _Kind(_eigen, 1e-6, levels=(0, 1, 2, 3)),
+    "new_state": _Kind(_new_state, 1e-6),
+    "annihilation": _Kind(_annihilation, 1e-6),
 }
 
 THRESHOLDS = {kind: row.threshold for kind, row in KINDS.items()}
@@ -402,7 +392,9 @@ def residual_report(
         raise ValueError(f"{kind} takes no level n")
     label = _label(kind, n)
     state = _grid_state(params, grid)
-    rel, denoms = row.residual(state, n)
+    with np.errstate(all="ignore"):
+        terms, denoms = row.residual(state, n)
+        rel = _relative(terms)
     skipped = ~np.isfinite(rel) | state.u_excluded
     for mag, local_scale in denoms.values():
         skipped |= excluded(mag, local_scale)

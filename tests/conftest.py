@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from susypiv import Grid, seed, verify
+from susypiv import Grid, partner_potential, seed, verify
 from susypiv.verify import BENCHMARK_PARAMS
 
 # Interpreters the tests start import susypiv from this checkout too, as the
@@ -40,6 +40,16 @@ def oracle_seed(params, x):
         u = envelope * (m1 + c * x * m2)
         up = -x * u + envelope * (4 * x * a1 * s1 + c * m2 + 2 * c * z * (a2 / 1.5) * s2)
         return complex(u), complex(up)
+
+
+def asymptote_error(params, x):
+    """|V~(x) - asymptote| in units of (|eps+1| + 1)^3 / x^6, the size of the
+    first term left out.  beta = x + a1/x + a3/x^3 + ... with a1 = -(eps+1)/2
+    solves the Riccati relation, so V~ = x^2 - 2 beta' =
+    x^2 - 2 - (eps+1)/x^2 - 3 (eps+1)(eps+3)/(4 x^4) + O(x^-6)."""
+    eps, x = params.epsilon, np.asarray(x, dtype=float)
+    want = x * x - 2.0 - (eps + 1) / x**2 - 3.0 * (eps + 1) * (eps + 3) / (4.0 * x**4)
+    return np.abs(partner_potential(params, x) - want) * x**6 / (abs(eps + 1) + 1) ** 3
 
 
 @pytest.fixture(autouse=True)

@@ -324,6 +324,35 @@ def test_epsilon_past_the_double_range_is_one_error_line(capsys):
     assert lines == ["error: seed u overflowed the double range at x = 0"]
 
 
+# Past |lambda + i kappa| of about 1.3e154, beta(0)^2 overflows the double
+# range; at 1e300 on a grid of width 1e-300 every report saturates.
+HUGE_SEED_DATA = [("potential", None)] + [(c, f) for c in ("piv", "extremal") for f in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("command,family", HUGE_SEED_DATA)
+def test_huge_seed_data_command_warns_nothing(tmp_path, capsys, command, family):
+    config = RunConfig(command=command, family=family, lam=1e200, output_path=str(tmp_path / "o.csv"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(config) == 0
+    assert [str(w.message) for w in caught] == [] and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"lam": 1e200}, {"lam": 1e300, "xmin": 0.0, "xmax": 1e-300, "step": 1e-301}]
+)
+def test_huge_seed_verify_warns_nothing(capsys, overrides):
+    # The exit status is left open: at 1e200 schrodinger fails a correct
+    # seed beside u's zero near x = 0 (CHANGES.md, FOUND line).
+    stream = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(RunConfig(command="verify", **overrides), stream)
+    assert [str(w.message) for w in caught] == [] and capsys.readouterr().err == ""
+    lines = stream.getvalue().splitlines()
+    assert [line.split()[3] for line in lines[:-1]] == [label for _, _, label in verify.report_plan()]
+
+
 def test_potential_past_the_1f1_overflow_limit_matches_oracle(tmp_path):
     # z = 27**2 = 729 lies past the double-range limit of the 1F1 series near
     # z = 709, which used to end this run with exit 2.
