@@ -5,15 +5,15 @@ suites.
 A data command is one row of ``_COMMANDS``: its header and a function that
 returns its columns at a block of grid positions as 1-d arrays (``piv``
 makes a row non-finite where a family denominator is ``grid.singular``).
-Each block of ``_BLOCK`` points is computed, stripped of its rows with a
-non-finite float, and turned into bytes by ``text.rows`` in turn, so the
-working set does not grow with the grid.  ``text.rows`` formats the floats
-in numpy to the exact text of ``%.17g`` (CSV) or ``repr`` (JSON), with
-CPython's formatter only for the few values it cannot certify; a column that
-holds one value in a block (Im V of a real seed) is formatted once and
-written as text between its neighbours' cells.  The bytes go
-to a temporary file that replaces ``--output`` only when the command succeeds;
-``verify --output`` writes its JSON report the same way.
+The grid is computed one ``grid.BLOCK`` of points at a time, and each block
+is stripped of its rows with a non-finite float and turned into bytes by
+``text.rows`` in turn, so the working set does not grow with the grid.
+``text.rows`` formats the floats in numpy to the exact text of ``%.17g``
+(CSV) or ``repr`` (JSON), with CPython's formatter only for the few values
+it cannot certify; a column that holds one value in a block (Im V of a real
+seed) is formatted once and written as text between its neighbours' cells.
+The bytes go to a temporary file that replaces ``--output`` only when the
+command succeeds; ``verify --output`` writes its JSON report the same way.
 Complex columns are serialized as separate real/imaginary fields so the
 output plots directly.  Exit status: 0 ok, 1 verification failure, 2 invalid
 configuration, 3 singular-point saturation.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import painleve, susy
+from . import grid, painleve, susy
 from .errors import AllPointsExcluded, LevelAnnihilated, SusypivError
 from .grid import Grid, singular
 from .seed import TransformParams
@@ -112,23 +112,17 @@ _COMMANDS = {
     "extremal": (("x", "re", "im"), _extremal),
 }
 _HEADERS = {name: header for name, (header, _) in _COMMANDS.items()}  # for bench/selftest.py
-_BLOCK = 8192  # grid points computed, and rows formatted, per block
 
 
 def _blocks(config: RunConfig, columns):
-    """The command's columns block by block, each block's rows with a
-    non-finite float dropped (a block with none is yielded as computed);
-    ``spectrum`` is one block."""
+    """The command's columns block by block, ``grid.BLOCK`` points each, each
+    block's rows with a non-finite float dropped (a block with none is
+    yielded as computed); ``spectrum`` is one block."""
     if config.command == "spectrum":
         positions = [None]
     else:
-        grid = config.grid()
-        n = grid.n_points
-        # The same doubles as Grid.points(), _BLOCK at a time.
-        positions = (
-            grid.xmin + grid.step * np.arange(start, min(start + _BLOCK, n))
-            for start in range(0, n, _BLOCK)
-        )
+        span, size = config.grid(), grid.BLOCK
+        positions = (span.points(start, start + size) for start in range(0, span.n_points, size))
     for xs in positions:
         block = columns(config, xs)
         finite = np.logical_and.reduce([np.isfinite(c) for c in block if c.dtype.kind == "f"])

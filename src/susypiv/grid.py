@@ -1,6 +1,6 @@
-"""Evaluation positions: uniform grids, the one-element view of a scalar
-position, the singular-point rule that screens positions, and the near-zero
-rule that excludes grid points."""
+"""Evaluation positions: uniform grids, read ``BLOCK`` points per seed
+evaluation, the one-element view of a scalar position, the singular-point
+rule that screens positions, and the near-zero rule that excludes grid points."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from .errors import SingularPoint
 MAX_POINTS = 10**7
 SINGULAR_REL = 1e-10
 EXCLUDE_REL = 1e-6  # |f| < EXCLUDE_REL |f'|: within EXCLUDE_REL of a zero of f
+BLOCK = 8192  # points per seed evaluation: a data command's block, a stencil's chunk
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,10 @@ class Grid:
     def n_points(self) -> int:
         return int(math.floor(self._last_index())) + 1
 
-    def points(self) -> np.ndarray:
-        return self.xmin + self.step * np.arange(self.n_points)
+    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The points of index start..stop-1, to the last by default, clipped as a slice is."""
+        n = self.n_points
+        return self.xmin + self.step * np.arange(start, n if stop is None else min(stop, n))
 
 
 def singular(mag, scale):

@@ -35,17 +35,14 @@ def eigenfunction_derivative(n: int, x):
 
 def _levels(n: int, xs):
     """(psi_{n-1}, psi_n) on the array ``xs`` from one run of the recurrence;
-    psi_{-1} is None."""
+    psi_{-1} is 0.0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_DEGREE:
         raise DegreeTooLarge(f"n={n} beyond stable recurrence range {MAX_DEGREE}")
-    prev, cur = None, math.pi ** -0.25 * np.exp(-0.5 * xs * xs)
+    prev, cur = 0.0, math.pi ** -0.25 * np.exp(-0.5 * xs * xs)
     for k in range(n):
-        if k == 0:
-            prev, cur = cur, math.sqrt(2.0) * xs * cur
-        else:
-            prev, cur = cur, math.sqrt(2.0 / (k + 1)) * xs * cur - math.sqrt(k / (k + 1.0)) * prev
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * xs * cur - math.sqrt(k / (k + 1.0)) * prev
     return prev, cur
 
 
@@ -53,6 +50,6 @@ def _with_derivative(n: int, xs):
     """(psi_n, psi_n') on the array ``xs`` from one run of the recurrence."""
     prev, cur = _levels(n, xs)
     out = -xs * cur
-    if n > 0:
+    if n > 0:  # adding psi_{-1} = 0.0 would turn -0.0 at x = 0 into +0.0
         out = out + math.sqrt(2.0 * n) * prev
     return cur, out

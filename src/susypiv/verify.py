@@ -24,9 +24,10 @@ point whose arithmetic leaves the double range is non-finite and excluded.
 
 Every stencil, the residual kinds' and ``fd_derivative``'s, goes through one
 engine, ``_on_offsets``: it stacks the grid shifted by each stencil offset,
-flattens the stack and evaluates the function over it in chunks of at most
-4096 points, so a stencil costs one seed call per chunk instead of one per
-offset, and the series work space of each call stays bounded.
+flattens the stack and evaluates the function over it in chunks of one
+``grid.BLOCK`` of points at most, so a stencil costs one seed call per chunk
+instead of one per offset, and the series work space of each call stays
+bounded.
 
 Every kind reads the seed from one ``_GridState``: u, u', beta and beta' on
 the grid and the points that the denominator u excludes, built with the
@@ -49,7 +50,7 @@ read, not summed:
 
 The last state built is kept, as the seed keeps its last chain, and the
 reports on one parameter set and grid read it, so a default ``verify`` sums
-the seed 5 times and ``verify --all`` 25.  It stays alive after the report
+the seed 4 times and ``verify --all`` 20.  It stays alive after the report
 returns, about 241 bytes a grid point, until a report on another set or
 grid replaces it; it is released before its successor is built.
 """
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import painleve, seed, susy
+from . import grid, painleve, seed, susy
 from .errors import AllPointsExcluded, EvaluationFailed, LevelAnnihilated, SusypivError
 from .grid import Grid, excluded, on_points
 from .seed import TransformParams
@@ -73,8 +74,6 @@ _H_ORDER2 = 1e-3
 _H_ORDER3 = 2e-3
 _POLE_CAP = 0.02
 _ORDER3_CAP = 0.01
-# Largest number of stencil points handed to one function call.
-_CHUNK = 4096
 # Offsets, in units of h, of the Richardson stencils below.
 _D1_OFFSETS = (1.0, -1.0, 0.5, -0.5)
 _D2_OFFSETS = (0.0,) + _D1_OFFSETS
@@ -222,8 +221,8 @@ def _on_offsets(fn, xs, offsets, rows=(), known=()):
     k: the values of ``fn``, shape rows + xs.shape, at the points ``where`` (a
     boolean mask or ``_ALL``) of offset k, already computed at those
     positions.  All other shifted points are stacked, flattened and evaluated
-    in calls of at most _CHUNK points each; ``fn`` maps them to an array of
-    shape rows + (their number,).
+    in calls of at most one ``grid.BLOCK`` of points each; ``fn`` maps them
+    to an array of shape rows + (their number,).
     """
     points = np.stack([xs + d for d in offsets])
     out = np.empty(rows + points.shape, dtype=complex)
@@ -233,8 +232,9 @@ def _on_offsets(fn, xs, offsets, rows=(), known=()):
         todo[k] = ~where
     index = np.flatnonzero(todo)
     flat, dest = points.ravel(), out.reshape((-1, points.size))
-    for start in range(0, index.size, _CHUNK):
-        chunk = index[start : start + _CHUNK]
+    size = grid.BLOCK
+    for start in range(0, index.size, size):
+        chunk = index[start : start + size]
         # Row by row: numpy scatters one axis at a time far faster.
         for row, values in zip(dest, np.reshape(fn(flat[chunk]), (len(dest), -1))):
             row[chunk] = values

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susypiv import AllPointsExcluded, cli, seed_eval_grid, verify
+from susypiv import AllPointsExcluded, cli, grid, seed_eval_grid, verify
 from susypiv.cli import RunConfig, run
 from susypiv.grid import singular
 
@@ -553,8 +553,8 @@ def test_column_writer_matches_the_per_row_writer(monkeypatch, tmp_path, set_id,
     # 201 grid points (200 rows where a row is dropped) and 12 spectrum rows:
     # blocks of 7 end mid-table, blocks of 67 split the full grid evenly, and
     # the default block holds everything.
-    for block in (1, 7, 67, cli._BLOCK):
-        monkeypatch.setattr(cli, "_BLOCK", block)
+    for block in (1, 7, 67, grid.BLOCK):
+        monkeypatch.setattr(grid, "BLOCK", block)
         assert run(config) == 0
         assert out.read_bytes() == want, (block, set_id, command, family, fmt)
     dropped = DROPPED.get((set_id, command, family), 0)
@@ -565,7 +565,7 @@ def test_blocks_yield_finite_columns_as_computed(monkeypatch):
     # Two blocks of 3 points: the first is all finite and comes through as
     # the computed arrays themselves; the second loses its NaN row in every
     # column, the integer and boolean ones included.
-    monkeypatch.setattr(cli, "_BLOCK", 3)
+    monkeypatch.setattr(grid, "BLOCK", 3)
     computed = []
 
     def columns(config, xs):
@@ -602,7 +602,7 @@ def test_failure_in_a_later_block_leaves_the_output_alone(monkeypatch, tmp_path,
         return values
 
     monkeypatch.setattr(cli.susy, "partner_potential", counted)
-    monkeypatch.setattr(cli, "_BLOCK", 500)
+    monkeypatch.setattr(grid, "BLOCK", 500)
     config = RunConfig(
         command="potential", epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0,
         xmin=-5.0, xmax=40.0, output_path=str(out),

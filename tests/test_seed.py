@@ -27,7 +27,7 @@ from susypiv import (
     seed_eval_grid,
     seed_u,
 )
-from susypiv import seed, verify
+from susypiv import grid, seed, verify
 from susypiv.grid import singular
 from susypiv.verify import BENCHMARK_PARAMS, THRESHOLDS
 
@@ -133,7 +133,7 @@ class TestDeterminism:
         # No positions: four empty complex arrays.
         for v in seed_eval_grid(SET_1, np.empty(0)):
             assert v.shape == (0,) and v.dtype == complex
-        monkeypatch.setattr(verify, "_CHUNK", 64)
+        monkeypatch.setattr(grid, "BLOCK", 64)
         offsets = [0.0, 1e-3, -1e-3]
         chunked = verify._on_offsets(lambda t: seed_eval_grid(SET_1, t)[0], xs, offsets)
         for row, d in zip(chunked, offsets):

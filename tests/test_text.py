@@ -343,13 +343,13 @@ def test_real_seed_potential_formats_only_its_varying_columns(monkeypatch, short
     # the five potential columns, only x, Re V and x^2 go through the passes
     # at every row, and Im V and im_v are formatted once each.  Without the
     # fold this block would send 5 * 8192 values.
-    from susypiv import cli
+    from susypiv import cli, grid
 
     config = cli.RunConfig(command="potential", epsilon_re=3.0, lam=1.0, xmin=-5.0, xmax=5.0, step=1e-3)
     header, columns = cli._COMMANDS["potential"]
     (block,) = list(cli._blocks(config, columns))[:1]
     n = block[0].size
-    assert n == cli._BLOCK
+    assert n == grid.BLOCK
     sizes = _counted_cells(monkeypatch)
     _, pieces, sep, _ = cli._layout(config, header)
     got, want = _joined([block], pieces, sep, shortest)

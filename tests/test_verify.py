@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import PARAM_IDS
+from conftest import PARAM_IDS, oracle_seed
 from susypiv import (
     AllPointsExcluded,
     EvaluationFailed,
@@ -22,7 +22,7 @@ from susypiv import (
     seed_u,
     threshold_for,
 )
-from susypiv import cli, kummer, seed, susy, verify
+from susypiv import cli, grid, kummer, seed, susy, verify
 from susypiv.grid import EXCLUDE_REL, MAX_POINTS, singular
 from susypiv.verify import BENCHMARK_PARAMS, THRESHOLDS
 
@@ -227,25 +227,25 @@ class TestStencilEngine:
         offsets = [0.0, h, -h, 0.5 * h, -0.5 * h]
         got = verify._on_offsets(fn, xs, offsets)
         assert got.shape == (5, xs.size)
-        assert max(sizes) <= verify._CHUNK and sum(sizes) == 5 * xs.size
+        assert max(sizes) <= grid.BLOCK and sum(sizes) == 5 * xs.size
         for row, d in zip(got, offsets):
             np.testing.assert_array_equal(row, np.exp(1j * (xs + d)))
 
     def test_default_verify_call_count(self, monkeypatch):
         # One seed evaluation per stencil chunk, not per stencil point, and
         # each position summed once per parameter set: a default single-set
-        # run (11 reports on 1001 points) takes 5 evaluations over 13,417
+        # run (11 reports on 1001 points) takes 4 evaluations over 13,417
         # points.  The grid (1001); riccati's stencil (4004); the partner
         # stencil's four nonzero offsets (4004), whose u schrodinger reads
         # where the cap leaves its step at h (every point here); annihilation's
         # offsets +-1 and +-2 (4004), and its +-1/2 where they are not the
-        # partner's +-1 (2 x 202), in two chunks.  Summing the partner
-        # stencil's centre again takes 6 evaluations, schrodinger's stencil
-        # 7, annihilation's rows +-1/2 15,015 points and its centre too
-        # 16,016; with no shared rows it took 8 over 22,022 points, one grid
-        # evaluation per report 26, one call per stencil offset 194, and the
-        # nested annihilation lattice 37.  The seed evaluates its Taylor
-        # chain, so no kummer_m call is left at all.
+        # partner's +-1 (2 x 202), in one grid.BLOCK.  In 4096-point chunks,
+        # summing the partner stencil's centre again took 6 evaluations,
+        # schrodinger's stencil 7, annihilation's rows +-1/2 15,015 points
+        # and its centre too 16,016; with no shared rows it took 8 over
+        # 22,022 points, one grid evaluation per report 26, one call per
+        # stencil offset 194, and the nested annihilation lattice 37.  The
+        # seed evaluates its Taylor chain, so no kummer_m call is left at all.
         calls = []
         original = kummer.kummer_m
 
@@ -267,7 +267,7 @@ class TestStencilEngine:
         )
         assert cli.run(config, io.StringIO()) == 0
         assert calls == []
-        assert (len(evaluations), sum(evaluations)) == (5, 13_417)
+        assert (len(evaluations), sum(evaluations)) == (4, 13_417)
 
     def test_verify_all_builds_one_chain_per_set(self, monkeypatch):
         # The seed caches the last parameter set's Taylor chain, and --all
@@ -388,12 +388,12 @@ class TestSharedGridState:
         # set: the grid (1), riccati's stencil (1), the partner-state stencil
         # but its centre (1), which schrodinger, eigen(0..3) and new_state
         # read, and what annihilation does not read from the grid and the
-        # partner stencil (2).  With schrodinger's stencil summed apart and
-        # the partner's centre summed again a default run summed 8 times,
-        # without the shared partner stencil 16, and with no state kept for
-        # the set 26.  The points summed pin annihilation's share, which leaves
-        # its chunk count as it is: 66,835 for --all, 110,110 with no rows
-        # shared.
+        # partner stencil (1).  In 4096-point chunks, with schrodinger's
+        # stencil summed apart and the partner's centre summed again a
+        # default run summed 8 times, without the shared partner stencil 16,
+        # and with no state kept for the set 26.  The points summed pin
+        # annihilation's share, which leaves its chunk count as it is: 66,835
+        # for --all, 110,110 with no rows shared.
         sums = []
         horner = seed._horner
 
@@ -403,17 +403,17 @@ class TestSharedGridState:
 
         monkeypatch.setattr(seed, "_horner", counting)
         assert cli.run(cli.RunConfig(command="verify", **_SET_1_FLAGS), io.StringIO()) == 0
-        assert len(sums) == 5
+        assert len(sums) == 4
         # The first set of --all is the one just verified, whose state is
         # kept: its grid (1001 points) and partner stencil (4004) are not
         # summed again.  From a fresh state they are.
         sums.clear()
         assert cli.run(cli.RunConfig(command="verify", run_all=True), io.StringIO()) == 0
-        assert (len(sums), sum(sums)) == (23, 61_830)
+        assert (len(sums), sum(sums)) == (18, 61_830)
         sums.clear()
         verify._last_state = None
         assert cli.run(cli.RunConfig(command="verify", run_all=True), io.StringIO()) == 0
-        assert (len(sums), sum(sums)) == (25, 66_835)
+        assert (len(sums), sum(sums)) == (20, 66_835)
 
     @pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
     def test_reports_are_identical_in_the_scope(self, default_grid, params):
@@ -705,6 +705,34 @@ def test_annihilation_holds_next_to_a_real_zero(epsilon, lam, half_width):
     params = TransformParams(epsilon=epsilon, lam=lam)
     report = residual_report("annihilation", params, Grid(-half_width, half_width, 0.01))
     assert report.max_relative <= threshold_for("annihilation"), report
+
+
+# eps = 0, kappa = 0, lambda = 1e4: u = u_even + 1e4 u_odd has a zero near
+# x = -1e-4, between the points -0.01 and 0 of the default grid.
+_STEEP_SET = TransformParams(epsilon=0.0, lam=1e4)
+
+
+def test_steep_seed_is_right_at_its_zero(default_grid):
+    # u and u' on the default grid's points in [-0.2, 0.2] against mpmath's
+    # 1F1: 1.9e-16 and 1.8e-16 at most, so schrodinger's FAIL below is the
+    # check's, not the seed's.
+    xs = default_grid.points()
+    xs = xs[np.abs(xs) <= 0.2 + 1e-9]
+    u, up, _, _ = seed.seed_eval_grid(_STEEP_SET, xs)
+    for x, got in zip(xs, zip(u, up)):
+        for value, ref in zip(got, oracle_seed(_STEEP_SET, float(x))):
+            assert abs(value - ref) <= 1e-15 * abs(ref), (x, value, ref)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="schrodinger's rounding floor, about 1e-16 |u| / h^2, outweighs its scale beside "
+    "the zero of u for lambda >= 1e4: 1.59e-7 against 1e-7 (CHANGES.md, FOUND line on _schrodinger)",
+)
+def test_schrodinger_passes_a_steep_seed(default_grid):
+    report = residual_report("schrodinger", _STEEP_SET, default_grid)
+    assert report.max_relative <= threshold_for("schrodinger"), report
 
 
 def test_threshold_lookup():
