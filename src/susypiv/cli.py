@@ -10,8 +10,8 @@ is stripped of its rows with a non-finite float and turned into bytes by
 ``text.rows`` in turn, so the working set does not grow with the grid.
 ``text.rows`` formats the floats in numpy to the exact text of ``%.17g``
 (CSV) or ``repr`` (JSON), with CPython's formatter only for the few values
-it cannot certify; a column that holds one value in a block (Im V of a real
-seed) is formatted once and written as text between its neighbours' cells.
+it cannot certify; a column after the first that holds one value in a block
+(Im V of a real seed) is formatted once, as text between its neighbours' cells.
 The bytes go to a temporary file that replaces ``--output`` only when the
 command succeeds; ``verify --output`` writes its JSON report the same way.
 Complex columns are serialized as separate real/imaginary fields so the
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -134,6 +133,8 @@ def _layout(config: RunConfig, header):
     ``pieces`` with the cells between them, and ``sep`` between rows."""
     if config.format == "csv":
         return ",".join(header) + "\n", [""] + [","] * (len(header) - 1) + [""], "\n", "\n"
+    import json
+
     doc = json.dumps({"config": config.to_dict(), "rows": []}, indent=2)
     before, _, after = doc.rpartition("[]")
     keys = [f"      {json.dumps(k)}: " for k in header]
@@ -240,6 +241,8 @@ def _run_verify(config: RunConfig, stream) -> int:
     total = len(entries)
     print(f"verify: {total} reports, {failures} failed, {saturated} saturated", file=stream)
     if config.output_path:
+        import json
+
         payload = {"config": config.to_dict(), "reports": entries}
         _replace(config.output_path, [(json.dumps(payload, indent=2) + "\n").encode()])
     if saturated:

@@ -34,10 +34,10 @@ table per style, keyed by (X, k), gives each word's masks and constant
 bytes; k itself is looked up by the last three digits, unless all three
 are 0.  A pass formats cells of one style, each word for all of them at
 once from these tables, and the NULs are dropped by one
-``bytes.translate`` per chunk of rows.  A column whose values in a block all
-share one bit pattern (Im V = 0 of a real seed, a flag that never changes)
-is folded into the constant text around its cell: ``rows`` formats that
-cell once, on one row, and the column leaves the passes.
+``bytes.translate`` per chunk of rows.  A column after the first whose
+values in a block share one bit pattern (Im V = 0 of a real seed, a flag
+that never changes) is folded into the constant text around its cell:
+``rows`` formats that cell once, on one row, and the column leaves the passes.
 """
 
 from __future__ import annotations
@@ -297,11 +297,11 @@ def _text(row, text: bytes) -> None:
 
 
 def _fold(columns, pieces, shortest):
-    """``columns`` and ``pieces`` with each column whose values all have the
-    first one's bits joined, as the text of its first cell, to the pieces
-    before and after it.  The cell comes from ``rows`` on that one row."""
-    kept, merged = [], [pieces[0]]
-    for col, piece in zip(columns, pieces[1:]):
+    """``columns`` and ``pieces`` with each column after the first whose
+    values all have its first value's bits joined, as the text of its first
+    cell (from ``rows`` on that one row), to the pieces before and after it."""
+    kept, merged = [columns[0]], [pieces[0], pieces[1]]
+    for col, piece in zip(columns[1:], pieces[2:]):
         bits = col.view(f"u{col.itemsize}") if col.dtype.kind == "f" else col
         if (bits == bits[0]).all():
             merged[-1] += b"".join(rows([col[:1]], ["", ""], "", shortest)).decode() + piece
@@ -319,20 +319,14 @@ def rows(columns, pieces, sep, shortest=False):
     A float cell reads as ``repr`` when ``shortest``, else as ``'%.17g'``; an
     integer cell as ``'%d'`` (exact below 2**53); a boolean one as true or
     false.  ``pieces`` and ``sep`` are ASCII strings.  Where there are several
-    rows, a column holding one value (one bit pattern for floats, so 0.0 and
-    -0.0 differ) is written once as text between its neighbours' cells.
+    rows, a column after the first holding one value (one bit pattern for
+    floats: 0.0 and -0.0 differ) is written once, between its neighbours' cells.
     """
     n_rows = columns[0].size
     if not n_rows:
         return
     if n_rows > 1:
         columns, pieces = _fold(columns, pieces, shortest)
-        if not columns:  # every row is the same text
-            yield pieces[0].encode()
-            rest = (sep + pieces[0]).encode()
-            for start in range(1, n_rows, _CHUNK):
-                yield rest * min(_CHUNK, n_rows - start)
-            return
     c = len(columns)
     # The text after each cell, in the bytes after its _TEXT: the last
     # cell's runs into the next row, and is cut off at the end.

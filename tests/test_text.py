@@ -262,8 +262,9 @@ def _counted_cells(monkeypatch):
 @pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
 def test_a_constant_column_is_formatted_once(monkeypatch, at, style):
     # A column of 0.1 (0.10000000000000001 at .17g) among two varying ones,
-    # in passes of a few rows: its cell is formatted on one row, the others
-    # on all 40, and every row is the CPython text.  In JSON the folded
+    # in passes of a few rows: after the first column, its cell is formatted
+    # on one row, the others on all 40; as the first column it goes through
+    # the passes too.  Every row is the CPython text.  In JSON a folded
     # column's key moves into the text around it.
     monkeypatch.setattr(text, "_CHUNK", 16)
     sizes = _counted_cells(monkeypatch)
@@ -273,7 +274,8 @@ def test_a_constant_column_is_formatted_once(monkeypatch, at, style):
     shortest = STYLES[style]
     got, want = _joined([columns], ["", ",", ",", ""], "\n", shortest)
     assert got == want
-    assert sizes.count(1) == 1 and sum(sizes) == 1 + 2 * 40
+    folded = at != 0
+    assert sizes.count(1) == folded and sum(sizes) == folded + (3 - folded) * 40
     if shortest:
         got = b"".join(text.rows(columns, ['{"a": ', ', "b": ', ', "c": ', "}"], ", ", shortest))
         rows = [dict(zip("abc", map(float, row))) for row in zip(*columns)]
@@ -323,8 +325,8 @@ def test_a_column_constant_in_one_block_only(monkeypatch, style):
 @pytest.mark.parametrize("style", STYLES)
 def test_one_row_and_all_constant_blocks(monkeypatch, style):
     # A one-row block formats its cells as they are, both floats in one
-    # pass; a block whose every column is constant is one text repeated, in
-    # chunks of _CHUNK rows, whose cells are formatted once each.
+    # pass; in a block whose every column is constant the first column goes
+    # through the passes of _CHUNK rows, and the others are formatted once.
     monkeypatch.setattr(text, "_CHUNK", 4)
     sizes = _counted_cells(monkeypatch)
     shortest = STYLES[style]
@@ -333,7 +335,7 @@ def test_one_row_and_all_constant_blocks(monkeypatch, style):
     for blocks in ([one], [same], [one, same, one]):
         got, want = _joined(blocks, ["[", " ", " ", "]"], "\n", shortest)
         assert got == want
-    assert sizes == [2] + [1, 1] + [2, 1, 1, 2]
+    assert sizes == [2] + [1, 4, 4, 3] + [2, 1, 4, 4, 3, 2]
     assert b"".join(text.rows(same, ["", ",", ",", ""], "")) == b"%.17g,true,-0" % 1e-7 * 11
 
 
