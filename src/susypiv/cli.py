@@ -7,7 +7,9 @@ returns its columns at a block of grid positions as 1-d arrays (``piv``
 makes a row non-finite where a family denominator is ``grid.singular``).
 The grid is computed one ``grid.BLOCK`` of points at a time, and each block
 is stripped of its rows with a non-finite float and turned into bytes by
-``text.rows`` in turn, so the working set does not grow with the grid.
+``text.rows`` in turn, so the working set of a grid command does not grow
+with the grid.  ``spectrum`` is one block of n_max + 2 rows, built from
+``susy.spectrum``'s list, so its working set grows with n_max.
 ``text.rows`` formats the floats in numpy to the exact text of ``%.17g``
 (CSV) or ``repr`` (JSON), with CPython's formatter only for the few values
 it cannot certify; a column after the first that holds one value in a block

@@ -97,10 +97,12 @@ def spectrum(params: TransformParams, n_max: int):
 
 
 def spectrum_degenerate(params: TransformParams, n_max: int) -> bool:
-    """True when the new level exactly duplicates an oscillator level."""
+    """True when the new level exactly duplicates an oscillator level: eps is
+    real and an odd integer in [1, 2 n_max + 1], exact for every n_max that
+    ``_within_rows`` allows."""
     _within_rows(n_max)
     eps = complex(params.epsilon)
-    return any(eps == complex(2 * k + 1) for k in range(n_max + 1))
+    return eps.imag == 0 and 1 <= eps.real <= 2 * n_max + 1 and eps.real % 2 == 1
 
 
 def normalize(values, grid: Grid) -> float:

@@ -29,10 +29,10 @@ flattens the stack and evaluates the function over it in chunks of one
 instead of one per offset, and the series work space of each call stays
 bounded.
 
-Every kind reads the seed from one ``_GridState``: u, u', beta and beta' on
-the grid and the points that the denominator u excludes, built with the
-state, and u and beta on the partner-state stencil (step 1e-3 capped by
-beta), built on first use, as riccati and the piv families never read it.
+Every kind reads the seed from one ``_GridState``: u, beta and beta' on the
+grid and the points that the denominator u excludes, built with the state,
+and u and beta on the partner-state stencil (step 1e-3 capped by beta),
+built on first use, as riccati and the piv families never read it.
 A stencil row whose positions equal, as doubles, positions already summed is
 read, not summed:
 
@@ -51,7 +51,7 @@ read, not summed:
 The last state built is kept, as the seed keeps its last chain, and the
 reports on one parameter set and grid read it, so a default ``verify`` sums
 the seed 4 times and ``verify --all`` 20.  It stays alive after the report
-returns, about 241 bytes a grid point, until a report on another set or
+returns, about 225 bytes a grid point, until a report on another set or
 grid replaces it; it is released before its successor is built.
 """
 
@@ -104,18 +104,18 @@ class ResidualReport:
 
 class _GridState:
     """The seed on the grid of one parameter set, read by every kind: ``xs``,
-    ``values`` = (u, u', beta, beta') there, ``u_excluded``, the points that
-    the denominator u excludes, built with the state, and ``partner``, the
-    partner-state stencil, built on first use.  Each is read-only."""
+    ``u``, ``beta`` and ``beta_p`` there, ``u_excluded``, the points that the
+    denominator u excludes, built with the state from u and u' (which is not
+    kept), and ``partner``, the partner-state stencil, built on first use.
+    Each is read-only."""
 
     def __init__(self, params: TransformParams, grid: Grid):
         self.params = params
         self.key = (seed._key(params), grid)
         self.xs = grid.points()
-        self.values = seed.seed_eval_grid(params, self.xs)
-        u, up, _, _ = self.values
-        self.u_excluded = excluded(*seed.u_denominator(u, up)["u"])
-        for v in (self.xs, *self.values, self.u_excluded):
+        self.u, up, self.beta, self.beta_p = seed.seed_eval_grid(params, self.xs)
+        self.u_excluded = excluded(*seed.u_denominator(self.u, up)["u"])
+        for v in (self.xs, self.u, self.beta, self.beta_p, self.u_excluded):
             v.flags.writeable = False
 
     @functools.cached_property
@@ -123,11 +123,10 @@ class _GridState:
         """(step, u, beta) of the partner-state stencil: step = _H_ORDER2
         capped by beta on the grid, and u and beta at xs + c step for c in
         _D2_OFFSETS, shape (5,) + xs.shape, the grid's at c = 0."""
-        u, _, beta, _ = self.values
-        step = _capped(_H_ORDER2, beta)
+        step = _capped(_H_ORDER2, self.beta)
         offsets = [c * step for c in _D2_OFFSETS]
         u_beta = lambda t: seed.seed_eval_grid(self.params, t)[::2]
-        known = [(0, _ALL, np.stack((u, beta)))]
+        known = [(0, _ALL, np.stack((self.u, self.beta)))]
         u, beta = _on_offsets(u_beta, self.xs, offsets, rows=(2,), known=known)
         for v in (step, u, beta):
             v.flags.writeable = False
@@ -254,17 +253,16 @@ def _relative(terms):
 def _schrodinger(s, n):
     # Where the cap leaves the partner's step at h, its stencil's u is this one.
     h = _H_ORDER2
-    u, _, _, _ = s.values
     step, partner_u, _ = s.partner
     uncapped = step == h
-    known = [(0, _ALL, u)] + [(k, uncapped, partner_u[k]) for k in range(1, len(_D2_OFFSETS))]
+    known = [(0, _ALL, s.u)] + [(k, uncapped, partner_u[k]) for k in range(1, len(_D2_OFFSETS))]
     offsets = [c * h for c in _D2_OFFSETS]
     upp = _d2(_on_offsets(lambda t: seed.seed_u(s.params, t), s.xs, offsets, known=known), h)
-    return (-upp, s.xs * s.xs * u, -s.params.epsilon * u), {}
+    return (-upp, s.xs * s.xs * s.u, -s.params.epsilon * s.u), {}
 
 
 def _riccati(s, n):
-    xs, (_, _, beta, _) = s.xs, s.values
+    xs, beta = s.xs, s.beta
     beta_fn = lambda t: seed.seed_eval_grid(s.params, t)[2]
     step = _capped(_H_ORDER1, beta)
     beta_p = _d1(_on_offsets(beta_fn, xs, [c * step for c in _D1_OFFSETS]), step)
@@ -272,8 +270,7 @@ def _riccati(s, n):
 
 
 def _piv(family, s, n):
-    _, _, beta, beta_p = s.values
-    g, gp, gpp, denoms = painleve._from_seed(s.params, family, s.xs, beta, beta_p)
+    g, gp, gpp, denoms = painleve._from_seed(s.params, family, s.xs, s.beta, s.beta_p)
     a, b = painleve.piv_parameters(s.params, family)
     return painleve.piv_residual_terms(g, gp, gpp, s.xs, a, b), denoms
 
@@ -282,10 +279,10 @@ def _partner_state(s, state, energy):
     """The terms (-f'', V~ f, -E f) for the partner state f = ``state(t, u,
     beta)`` at energy E: its values at the positions t of the partner-state
     stencil, from the seed's u and beta there."""
-    xs, (_, _, _, beta_p) = s.xs, s.values
+    xs = s.xs
     step, u, beta = s.partner
     f = state(np.stack([xs + c * step for c in _D2_OFFSETS]), u, beta)
-    return (-_d2(f, step), (xs * xs - 2.0 * beta_p) * f[0], -energy * f[0]), {}
+    return (-_d2(f, step), (xs * xs - 2.0 * s.beta_p) * f[0], -energy * f[0]), {}
 
 
 def _eigen(s, n):
@@ -320,16 +317,16 @@ def _annihilation(s, n):
     # Offset 0 is the grid; offsets +-1/2 are the partner stencil's +-1
     # (its step _H_ORDER2 is half of _H_ORDER3) wherever the two caps leave
     # the same step.
-    xs, (u, _, beta, beta_p) = s.xs, s.values
+    xs, beta = s.xs, s.beta
     step = _capped(_H_ORDER3, beta, _ORDER3_CAP)
     offsets = [c * step for c in _D3_OFFSETS]
     half, partner_u, _ = s.partner
     same = 0.5 * step == half
-    known = [(0, _ALL, u), (3, same, partner_u[1]), (4, same, partner_u[2])]
+    known = [(0, _ALL, s.u), (3, same, partner_u[1]), (4, same, partner_u[2])]
     psi = _on_offsets(lambda t: seed.seed_u(s.params, t), xs, offsets, known=known)
     np.divide(1.0, psi, out=psi)
     d1, d2, d3 = _d1(psi[1:5], step), _d2(psi[:5], step), _d3(psi, step)
-    return _annihilation_terms(psi[0], d1, d2, d3, xs, beta, beta_p), {}
+    return _annihilation_terms(psi[0], d1, d2, d3, xs, beta, s.beta_p), {}
 
 
 @dataclass(frozen=True)

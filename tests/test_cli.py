@@ -441,6 +441,24 @@ def test_digest_tool_hashes_each_command_of_a_workload(tmp_path, monkeypatch):
     assert not list(run_dir.iterdir())
 
 
+def test_digest_tool_runs_every_workload_for_all(tmp_path):
+    # --workload all prints the lines of each workload of
+    # bench/workloads.WORKLOADS in turn, as one run per workload does.
+    tool = Path(__file__).resolve().parents[1] / "tools" / "digest_outputs.py"
+
+    def lines(workload):
+        proc = subprocess.run(
+            [sys.executable, str(tool), "--workload", workload, "--seeds", "1"],
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    each = [lines(w) for w in ("verify_suite", "grid_export", "wide_domain")]
+    assert all(each) and lines("all") == sum(each, [])
+    assert not list(tmp_path.iterdir())
+
+
 def test_rows_timing_tool_times_each_data_command(tmp_path):
     # tools/time_rows.py prints one line per data command (wide_domain has
     # one, `potential` on +-26 at step 1e-3; its two verify commands write

@@ -139,6 +139,34 @@ class TestSpectrum:
         assert spectrum_degenerate(params, 1) is True
         assert spectrum_degenerate(SET_1, 10) is False
 
+    @pytest.mark.parametrize("n_max", [0, 1, 5, 1000])
+    def test_degenerate_agrees_with_the_level_loop(self, n_max):
+        # The closed form against the level-by-level comparison it replaced,
+        # kept here as the reference.
+        def by_loop(eps):
+            return any(eps == complex(2 * k + 1) for k in range(n_max + 1))
+
+        top = float(2 * n_max + 1)
+        reals = [
+            1.0, top, top + 2.0, -1.0, 3.0, math.nextafter(3.0, 0.0), math.nextafter(3.0, 4.0),
+            math.nextafter(1.0, 0.0), math.nextafter(top, math.inf), -3.0, -0.0, 0.0, 2.0, 4.0,
+            2.0 * n_max, top + 1.0, 1e300, -1e300, 2.0**53 + 2.0, 2.0**53 - 1.0,
+        ]
+        for re in reals:
+            for im in (0.0, -0.0, 0.5, -5e-324):
+                eps = complex(re, im)
+                got = spectrum_degenerate(TransformParams(epsilon=eps), n_max)
+                assert got is by_loop(eps), eps
+
+    def test_degenerate_at_the_row_limit(self):
+        # n_max + 2 = MAX_POINTS rows: the two ends of the ladder, and no loop
+        # over its levels.
+        n_max = MAX_POINTS - 2
+        top = float(2 * n_max + 1)
+        assert spectrum_degenerate(TransformParams(epsilon=complex(top)), n_max) is True
+        assert spectrum_degenerate(TransformParams(epsilon=complex(top + 2.0)), n_max) is False
+        assert spectrum_degenerate(TransformParams(epsilon=4.0 + 0.5j), n_max) is False
+
     @pytest.mark.parametrize("fn", [spectrum, spectrum_degenerate], ids=lambda fn: fn.__name__)
     def test_negative_n_max_rejected(self, fn):
         # Both halves of the CLI's spectrum command validate alike.

@@ -5,8 +5,10 @@ Run from a checkout's root:
 
     python3 tools/digest_outputs.py --workload grid_export --seeds 1-5
 
-The commands are those of ``bench/workloads.py`` and run in this
-interpreter against the checkout's ``src/``, as ``bench/run.py`` runs them.
+``--workload all`` runs every workload of ``bench/workloads.WORKLOADS`` in
+turn, all its seeds before the next workload.  The commands are those of
+``bench/workloads.py`` and run in this interpreter against the checkout's
+``src/``, as ``bench/run.py`` runs them.
 Each line gives the digest of one command's output, its seed, its index in
 the workload, its exit status and its arguments.  The output of a ``verify``
 command is its standard output followed by its ``--output`` JSON report,
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -38,18 +41,20 @@ def _seeds(text: str) -> range:
 
 
 def digests(workload: str, seeds) -> list:
-    """Lines "digest  seed S  #i  exit E  argv" for each command of each seed."""
+    """Lines "digest  seed S  #i  exit E  argv" for each command of each seed
+    of ``workload``, or of each workload in turn for "all"."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
     from susypiv import cli
 
     lines = []
     home = os.getcwd()
+    names = workloads.WORKLOADS if workload == "all" else (workload,)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for seed in seeds:
-                for i, command in enumerate(workloads.build(workload, seed)):
+            for name, seed in itertools.product(names, seeds):
+                for i, command in enumerate(workloads.build(name, seed)):
                     path = f"cmd{i}.{'json' if command.is_verify else command.fmt}"
                     argv = list(command.argv) + ["--output", path]
                     stream = io.StringIO()
@@ -68,7 +73,7 @@ def digests(workload: str, seeds) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, help="a workload of bench/workloads.py")
+    parser.add_argument("--workload", required=True, help="a workload of bench/workloads.py, or all")
     parser.add_argument("--seeds", type=_seeds, default=range(1, 2), help="N or N-M (default 1)")
     args = parser.parse_args(argv)
     for line in digests(args.workload, args.seeds):
