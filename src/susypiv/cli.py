@@ -5,11 +5,10 @@ suites.
 A data command is one row of ``_COMMANDS``: its header and a function that
 returns its columns at a block of grid positions as 1-d arrays (``piv``
 makes a row non-finite where a family denominator is ``grid.singular``).
-The grid is computed one ``grid.BLOCK`` of points at a time, and each block
-is stripped of its rows with a non-finite float and turned into bytes by
-``text.rows`` in turn, so the working set of a grid command does not grow
-with the grid.  ``spectrum`` is one block of n_max + 2 rows, built from
-``susy.spectrum``'s list, so its working set grows with n_max.
+The rows are computed one ``grid.BLOCK`` at a time (grid positions, or for
+``spectrum`` the level indices 0 .. n_max + 1), and each block is stripped
+of its rows with a non-finite float and turned into bytes by ``text.rows``
+in turn, so the working set of a data command does not grow with its rows.
 ``text.rows`` formats the floats in numpy to the exact text of ``%.17g``
 (CSV) or ``repr`` (JSON), with CPython's formatter only for the few values
 it cannot certify; a column after the first that holds one value in a block
@@ -26,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -63,6 +63,8 @@ class RunConfig:
         )
 
     def grid(self) -> Grid:
+        if self.command == "spectrum":
+            return susy.spectrum_rows(10 if self.n_max is None else self.n_max)
         return Grid(self.xmin, self.xmax, self.step)
 
     def to_dict(self) -> dict:
@@ -91,11 +93,11 @@ def _piv(config: RunConfig, xs):
     return xs, g.real, g.imag, resid.real, resid.imag
 
 
-def _spectrum(config: RunConfig, xs):
-    n_max = config.n_max if config.n_max is not None else 10
-    levels = np.array(susy.spectrum(config.params(), n_max))
-    duplicate = susy.spectrum_degenerate(config.params(), n_max) & (levels == levels[0])
-    return np.arange(levels.size), levels.real, levels.imag, levels.imag != 0.0, duplicate
+def _spectrum(config: RunConfig, index):
+    params, n_max = config.params(), config.grid().n_points - 2
+    levels = susy.spectrum_levels(params, index)
+    duplicate = susy.spectrum_degenerate(params, n_max) & (levels == params.epsilon)
+    return index.astype(np.int64), levels.real, levels.imag, levels.imag != 0.0, duplicate
 
 
 def _extremal(config: RunConfig, xs):
@@ -116,16 +118,12 @@ _HEADERS = {name: header for name, (header, _) in _COMMANDS.items()}  # for benc
 
 
 def _blocks(config: RunConfig, columns):
-    """The command's columns block by block, ``grid.BLOCK`` points each, each
+    """The command's columns block by block, ``grid.BLOCK`` rows each, each
     block's rows with a non-finite float dropped (a block with none is
-    yielded as computed); ``spectrum`` is one block."""
-    if config.command == "spectrum":
-        positions = [None]
-    else:
-        span, size = config.grid(), grid.BLOCK
-        positions = (span.points(start, start + size) for start in range(0, span.n_points, size))
-    for xs in positions:
-        block = columns(config, xs)
+    yielded as computed)."""
+    span, size = config.grid(), grid.BLOCK
+    for start in range(0, span.n_points, size):
+        block = columns(config, span.points(start, start + size))
         finite = np.logical_and.reduce([np.isfinite(c) for c in block if c.dtype.kind == "f"])
         yield block if finite.all() else [c[finite] for c in block]
 
@@ -293,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_params(p):
+    def add_params(p):  # called for every parser with a float flag
+        p._negative_number_matcher = re.compile(r"-\.?\d")  # so that "-1e-3" is a value, not an option
         p.add_argument("--epsilon-re", type=float, default=0.0, help="Re of the factorization energy")
         p.add_argument("--epsilon-im", type=float, default=0.0, help="Im of the factorization energy")
         p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="real seed coefficient")

@@ -76,14 +76,19 @@ def new_state(params: TransformParams, x):
     return _on_seed(params, x, lambda xs, u, beta, beta_prime: 1.0 / u)
 
 
-def _within_rows(n_max: int) -> None:
-    """ValueError when ``n_max`` is negative, or when the n_max + 2 levels of a
-    spectrum pass ``grid.MAX_POINTS``, the row limit of a grid, before anything
-    is built."""
+def spectrum_rows(n_max: int) -> Grid:
+    """The level indices 0 .. n_max + 1 as a grid of step 1; ValueError, before
+    anything is built, when n_max < 0 or its n_max + 2 rows pass ``MAX_POINTS``."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max + 2 > MAX_POINTS:
         raise ValueError(f"n_max too large: more than {MAX_POINTS} spectrum rows")
+    return Grid(0.0, n_max + 1.0, 1.0)
+
+
+def spectrum_levels(params: TransformParams, index):
+    """The levels at the level indices ``index``: epsilon at 0, E_{i-1} = 2i - 1 after."""
+    return np.where(index == 0, complex(params.epsilon), 2.0 * index - 1.0)
 
 
 def spectrum(params: TransformParams, n_max: int):
@@ -92,15 +97,14 @@ def spectrum(params: TransformParams, n_max: int):
     A duplicate (epsilon coinciding with an oscillator level) is returned
     as-is; ``spectrum_degenerate`` reports the coincidence.
     """
-    _within_rows(n_max)
-    return [complex(params.epsilon)] + [complex(2 * k + 1) for k in range(n_max + 1)]
+    return spectrum_levels(params, spectrum_rows(n_max).points()).tolist()
 
 
 def spectrum_degenerate(params: TransformParams, n_max: int) -> bool:
     """True when the new level exactly duplicates an oscillator level: eps is
     real and an odd integer in [1, 2 n_max + 1], exact for every n_max that
-    ``_within_rows`` allows."""
-    _within_rows(n_max)
+    ``spectrum_rows`` allows."""
+    spectrum_rows(n_max)
     eps = complex(params.epsilon)
     return eps.imag == 0 and 1 <= eps.real <= 2 * n_max + 1 and eps.real % 2 == 1
 

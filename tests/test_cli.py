@@ -634,29 +634,32 @@ def test_failure_in_a_later_block_leaves_the_output_alone(monkeypatch, tmp_path,
         assert out.read_bytes() == b"an earlier run\n"
 
 
-def test_peak_memory_does_not_grow_with_the_grid(tmp_path):
-    # A warm piv JSON run holds one block of columns and text at a time:
-    # the tracemalloc peak is about 5 MiB at 1e5 points and barely moves
-    # when the grid doubles.  Computing every column over the whole grid
-    # first peaked at 43 MiB here, and at 31 MiB on half the points.
+@pytest.mark.parametrize("command", ["potential", "piv", "extremal", "spectrum"])
+def test_peak_memory_does_not_grow_with_the_grid(tmp_path, command):
+    # A warm JSON run holds one block of columns and text at a time: the
+    # tracemalloc peak is a few MiB at 1e5 rows and barely moves when the
+    # rows double.  Computing every piv column over the whole grid first
+    # peaked at 43 MiB here, and at 31 MiB on half the points; spectrum as
+    # one block of n_max + 2 levels went from 3.9 MiB at 5e4 rows to 5.3 MiB.
     import tracemalloc
 
-    def config(step):
+    def config(rows):
+        # ``rows`` points on [-5, 5], or spectrum rows; each command reads its own flags.
         return RunConfig(
-            command="piv", family=1, epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0,
-            step=step, output_path=str(tmp_path / "g.json"), format="json",
+            command=command, epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0, family=1,
+            step=10.0 / rows, n_max=rows - 2, output_path=str(tmp_path / "g.json"), format="json",
         )
 
-    def peak(step):
+    def peak(rows):
         tracemalloc.start()
         try:
-            assert run(config(step)) == 0
+            assert run(config(rows)) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert run(config(0.01)) == 0  # warm: the seed chain of this set on [-5, 5]
-    half, full = peak(2e-4), peak(1e-4)
+    assert run(config(1000)) == 0  # warm: the seed chain of this set on [-5, 5]
+    half, full = peak(5 * 10**4), peak(10**5)
     assert full < 8 * 2**20, full
     assert full < 1.25 * half, (half, full)
 
@@ -706,6 +709,25 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: n_max too large") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag", ["--epsilon-re", "--epsilon-im", "--lambda", "--kappa", "--xmin", "--xmax", "--step"]
+    )
+    def test_negative_float_with_an_exponent_is_a_value(self, flag):
+        # argparse by itself takes "-1e-3" for an option and exits 2 with
+        # "expected one argument", though it reads "-0.001" and "--flag=-1e-3".
+        parse = cli.build_parser().parse_args
+        args = parse(["verify", flag, "-1e-3"])
+        assert args == parse(["verify", f"{flag}=-1e-3"]) and -1e-3 in vars(args).values()
+
+    def test_negative_exponent_values_run(self, tmp_path):
+        with pytest.raises(SystemExit) as status:
+            cli.main(["verify", "--lambda", "-1e-3"])
+        assert status.value.code == 0
+        args = cli.build_parser().parse_args(
+            ["potential", "--xmin", "-1e1", "--xmax", "1e1", "--output", str(tmp_path / "p.csv")]
+        )
+        assert (args.xmin, args.xmax) == (-10.0, 10.0)
 
     def test_parser_requires_family(self):
         with pytest.raises(SystemExit) as err:
