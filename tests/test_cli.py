@@ -644,7 +644,7 @@ def test_peak_memory_does_not_grow_with_the_grid(tmp_path, command):
     import tracemalloc
 
     def config(rows):
-        # ``rows`` points on [-5, 5], or spectrum rows; each command reads its own flags.
+        # About ``rows`` points on [-5, 5], or spectrum rows; each command reads its own flags.
         return RunConfig(
             command=command, epsilon_re=-1.0, epsilon_im=1.0, lam=1.0, kappa=1.0, family=1,
             step=10.0 / rows, n_max=rows - 2, output_path=str(tmp_path / "g.json"), format="json",
