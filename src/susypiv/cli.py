@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(p):  # called for every parser with a float flag
-        p._negative_number_matcher = re.compile(r"-\.?\d")  # so that "-1e-3" is a value, not an option
+        # "-1e-3", "-inf", "-Infinity" and "-nan" are values, as float() reads them, not options.
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf(inity)?\Z|nan\Z)", re.IGNORECASE)
         p.add_argument("--epsilon-re", type=float, default=0.0, help="Re of the factorization energy")
         p.add_argument("--epsilon-im", type=float, default=0.0, help="Im of the factorization energy")
         p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="real seed coefficient")

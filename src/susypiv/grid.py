@@ -54,6 +54,11 @@ class Grid:
         return self.xmin + self.step * np.arange(start, n if stop is None else min(stop, n))
 
 
+def denominator(f, f_prime):
+    """The (|f|, 1 + |f'|) pair of a denominator f, which the rules below read."""
+    return np.abs(f), 1.0 + np.abs(f_prime)
+
+
 def singular(mag, scale):
     """The singular-point rule, elementwise: a denominator of magnitude ``mag``
     is at rounding level of its local ``scale``, mag <= 1e-10 * scale."""
@@ -71,7 +76,7 @@ def excluded(mag, local_scale):
 
 
 def screen(denominators, x) -> None:
-    """Raise SingularPoint when a ``name -> (mag, scale)`` denominator is singular."""
+    """Raise SingularPoint when a ``name -> denominator(f, f')`` pair is singular."""
     for name, (mag, scale) in denominators.items():
         if bool(np.any(singular(mag, scale))):
             raise SingularPoint(f"{name} vanishes at x={x}")

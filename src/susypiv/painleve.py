@@ -10,8 +10,9 @@ closed forms in terms of the seed log-derivative:
     family 3:  1/u                      energy eps
 
 so g, g', g'' never need numerical differentiation: h' = (V~ - E) - h^2 and
-h'' = V~' - 2 h h' close the chain.  Each family's row of ``_FAMILY_TABLE``
-holds its extremal state and h with its denominators besides u;
+h'' = V~' - 2 h h' close the chain, with V~ and beta'' from ``susy._vt`` and
+``susy._beta_pp``.  Each family's row of ``_FAMILY_TABLE`` holds its extremal
+state and h with its denominators besides u, as ``grid.denominator`` pairs;
 ``family_grid_eval`` takes arrays of positions and returns g, g', g'' with
 the formulas' denominators for the singular-point rule of ``grid.singular``.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seed, susy
+from . import grid, seed, susy
 from .errors import BadFamily
 from .seed import TransformParams
 
@@ -38,7 +39,7 @@ class _Family:
 
 def _plus_ratio(name, base, f, f_prime):
     """base + f'/f, with f as the (|f|, 1 + |f'|) pair ``name`` of the exclusion rules."""
-    return base + f_prime / f, {name: (np.abs(f), 1.0 + np.abs(f_prime))}
+    return base + f_prime / f, {name: grid.denominator(f, f_prime)}
 
 
 _FAMILY_TABLE = {
@@ -125,15 +126,15 @@ def family_grid_eval(params: TransformParams, family: int, xs):
     u, up, beta, beta_prime = seed.seed_eval_grid(params, xs)
     g, g_prime, g_pp, extra = _from_seed(params, family, xs, beta, beta_prime)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return g, g_prime, g_pp, {**seed.u_denominator(u, up), **extra}
+        return g, g_prime, g_pp, {"u": grid.denominator(u, up), **extra}
 
 
 def _from_seed(params: TransformParams, family: int, xs, beta, beta_prime):
     """``family_grid_eval`` from the seed's beta and beta' at ``xs``, with the
     denominators besides u."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        beta_pp = 2.0 * xs - 2.0 * beta * beta_prime
-        vt = xs * xs - 2.0 * beta_prime
+        beta_pp = susy._beta_pp(xs, beta, beta_prime)
+        vt = susy._vt(xs, beta_prime)
         vt_prime = 2.0 * xs - 2.0 * beta_pp
         h, denominators = _family(family).h(xs, beta, beta_prime, beta_pp)
         energy = extremal_energy(params, family)

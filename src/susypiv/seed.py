@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, PoleArgument
-from .grid import Grid, excluded, on_points, screen
+from .grid import Grid, denominator, excluded, on_points, screen
 
 # Taylor continuation: largest centre spacing, longest series of a centre,
 # share of the largest weight below which four trailing weights end a
@@ -307,11 +307,6 @@ def seed_u(params: TransformParams, x):
     return on_points(values, x)
 
 
-def u_denominator(u, up) -> dict:
-    """The denominator u of beta and 1/u, ``{"u": (|u|, 1 + |u'|)}``."""
-    return {"u": (np.abs(u), 1.0 + np.abs(up))}
-
-
 def seed_eval(params: TransformParams, x) -> SeedEvaluation:
     """Point evaluation with log-derivative fields.
 
@@ -322,7 +317,7 @@ def seed_eval(params: TransformParams, x) -> SeedEvaluation:
     """
     xf = float(x)
     u, up, beta, beta_prime = seed_eval_grid(params, np.asarray([xf]))
-    screen(u_denominator(u, up), xf)
+    screen({"u": denominator(u, up)}, xf)
     return SeedEvaluation(*(complex(v[0]) for v in (u, up, beta, beta_prime)), x=xf)
 
 
@@ -370,7 +365,7 @@ def locate_real_zeros(params: TransformParams, grid: Grid):
     xs = grid.points()
     u, up, _, _ = seed_eval_grid(params, xs)
     au = np.abs(u)
-    flagged = excluded(*u_denominator(u, up)["u"])
+    flagged = excluded(*denominator(u, up))
     for i in sign_change_brackets(u):
         flagged[i if au[i] <= au[i + 1] else i + 1] = True
     return [float(v) for v in xs[flagged]]

@@ -8,6 +8,9 @@ supplies the real positive constant on demand).
 
 Every entry evaluates its positions through the grid path: a scalar position
 is a one-element array, and raises SingularPoint where u is singular.
+
+V~ (``_vt``) and beta'' (``_beta_pp``) are defined here once: the commands
+emit them, and verify's eigen, new_state and annihilation checks score them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import oscillator, seed
 from .errors import NotNormalizable
-from .grid import MAX_POINTS, Grid, on_points, screen
+from .grid import MAX_POINTS, Grid, denominator, on_points, screen
 from .seed import TransformParams
 
 _TAIL_REL = 1e-6
@@ -34,15 +37,25 @@ def _on_seed(params: TransformParams, x, fn):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = fn(xs, u, beta, beta_prime)
         if np.ndim(x) == 0:
-            screen(seed.u_denominator(u, up), xs.item())
+            screen({"u": denominator(u, up)}, xs.item())
         return out
 
     return on_points(values, x)
 
 
+def _vt(xs, beta_prime):
+    """The partner potential V~ = x^2 - 2 beta' at the positions ``xs``."""
+    return xs * xs - 2.0 * beta_prime
+
+
+def _beta_pp(xs, beta, beta_prime):
+    """beta'' = 2x - 2 beta beta' at the positions ``xs``."""
+    return 2.0 * xs - 2.0 * beta * beta_prime
+
+
 def partner_potential(params: TransformParams, x):
     """Partner potential x^2 - 2 beta'; scalar or ndarray positions."""
-    return _on_seed(params, x, lambda xs, u, beta, beta_prime: xs * xs - 2.0 * beta_prime)
+    return _on_seed(params, x, lambda xs, u, beta, beta_prime: _vt(xs, beta_prime))
 
 
 def _image(n: int, xs, beta):

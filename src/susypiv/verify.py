@@ -10,8 +10,8 @@ beta-dependent stencils cap h pointwise at 0.02/(1+|beta|), the order-3 one
 at 0.01/(1+|beta|).
 
 The annihilation check applies the third-order lowering operator, expanded
-with beta'' = 2x - 2 beta beta', to psi = 1/u, whose three derivatives come
-from one 7-offset stencil:
+with beta'' from ``susy._beta_pp`` (the form behind ``piv``'s g''), to
+psi = 1/u, whose three derivatives come from one 7-offset stencil:
 
     (-d+beta)(d+x)(d+beta) psi = -psi''' - x psi'' + (beta^2 - 2 beta' - 1) psi'
         + (beta beta' + x beta^2 - beta'' - beta - x beta') psi
@@ -41,7 +41,8 @@ read, not summed:
 - schrodinger (step 1e-3, uncapped) reads u from the partner stencil where
   the cap leaves the partner's step at 1e-3, and sums its stencil elsewhere;
 - eigen(0..3) and new_state difference -psi_n' + beta psi_n and 1/u on the
-  partner stencil;
+  partner stencil, and score them with the V~ that ``partner_potential``
+  writes, ``susy._vt``;
 - annihilation, which differences 1/u at step 2e-3 capped, reads u on the
   grid for its centre and u at the partner stencil's offsets +-1 for its
   offsets +-1/2 where half its step is the partner's; the rest of its
@@ -64,9 +65,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grid, painleve, seed, susy
+from . import grid, oscillator, painleve, seed, susy
 from .errors import AllPointsExcluded, EvaluationFailed, LevelAnnihilated, SusypivError
-from .grid import Grid, excluded, on_points
+from .grid import Grid, denominator, excluded, on_points
 from .seed import TransformParams
 
 _H_ORDER1 = 1e-4
@@ -114,7 +115,7 @@ class _GridState:
         self.key = (seed._key(params), grid)
         self.xs = grid.points()
         self.u, up, self.beta, self.beta_p = seed.seed_eval_grid(params, self.xs)
-        self.u_excluded = excluded(*seed.u_denominator(self.u, up)["u"])
+        self.u_excluded = excluded(*denominator(self.u, up))
         for v in (self.xs, self.u, self.beta, self.beta_p, self.u_excluded):
             v.flags.writeable = False
 
@@ -278,11 +279,11 @@ def _piv(family, s, n):
 def _partner_state(s, state, energy):
     """The terms (-f'', V~ f, -E f) for the partner state f = ``state(t, u,
     beta)`` at energy E: its values at the positions t of the partner-state
-    stencil, from the seed's u and beta there."""
+    stencil, from the seed's u and beta there; V~ is ``susy._vt``."""
     xs = s.xs
     step, u, beta = s.partner
     f = state(np.stack([xs + c * step for c in _D2_OFFSETS]), u, beta)
-    return (-_d2(f, step), (xs * xs - 2.0 * s.beta_p) * f[0], -energy * f[0]), {}
+    return (-_d2(f, step), susy._vt(xs, s.beta_p) * f[0], -energy * f[0]), {}
 
 
 def _eigen(s, n):
@@ -293,7 +294,7 @@ def _eigen(s, n):
         raise LevelAnnihilated(f"eigen({n}): -psi_n' + beta psi_n vanishes identically")
     # susy.partner_eigenfunction's image of psi_n, on the partner stencil.
     image = lambda t, u, beta: susy._image(n, t, beta)
-    return _partner_state(s, image, float(2 * n + 1))
+    return _partner_state(s, image, oscillator.energy(n))
 
 
 def _new_state(s, n):
@@ -303,7 +304,7 @@ def _new_state(s, n):
 def _annihilation_terms(psi, d1, d2, d3, xs, beta, beta_p):
     """The four signed terms of (-d+beta)(d+x)(d+beta) psi, from psi and its
     first three derivatives; elementwise on arrays."""
-    beta_pp = 2.0 * xs - 2.0 * beta * beta_p
+    beta_pp = susy._beta_pp(xs, beta, beta_p)
     return (
         -d3,
         -xs * d2,

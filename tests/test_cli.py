@@ -443,7 +443,8 @@ def test_digest_tool_hashes_each_command_of_a_workload(tmp_path, monkeypatch):
 
 def test_digest_tool_runs_every_workload_for_all(tmp_path):
     # --workload all prints the lines of each workload of
-    # bench/workloads.WORKLOADS in turn, as one run per workload does.
+    # bench/workloads.WORKLOADS in turn, as one run per workload does, and
+    # then the 24 lines of spectrum.
     tool = Path(__file__).resolve().parents[1] / "tools" / "digest_outputs.py"
 
     def lines(workload):
@@ -454,9 +455,37 @@ def test_digest_tool_runs_every_workload_for_all(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
-    each = [lines(w) for w in ("verify_suite", "grid_export", "wide_domain")]
+    each = [lines(w) for w in ("verify_suite", "grid_export", "wide_domain", "spectrum")]
     assert all(each) and lines("all") == sum(each, [])
+    assert len(each[-1]) == 24
     assert not list(tmp_path.iterdir())
+
+
+def test_digest_tool_hashes_each_spectrum_command(tmp_path, monkeypatch):
+    # --workload spectrum digests spectrum at 4 epsilons x 3 n_max x CSV/JSON,
+    # once, whatever the seeds; each line is the hash of the file that the
+    # same command writes.
+    tool = Path(__file__).resolve().parents[1] / "tools" / "digest_outputs.py"
+    run_dir, own_dir = tmp_path / "run", tmp_path / "own"
+    run_dir.mkdir()
+    own_dir.mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--workload", "spectrum", "--seeds", "1-2"],
+        capture_output=True, text=True, cwd=run_dir,
+    )
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(own_dir)
+    got = proc.stdout.splitlines()
+    cases = set()
+    for i, line in enumerate(got):
+        digest, seed, index, code, command = line.split("  ")
+        assert (seed, index, code) == ("seed -", f"#{i}", "exit 0")
+        argv = command.split()
+        assert run(cli.config_from_args(cli.build_parser().parse_args(argv))) == 0
+        assert digest == hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest()
+        cases.add(tuple(argv[1:-2]))
+    assert len(got) == len(cases) == 24
+    assert not list(run_dir.iterdir())
 
 
 def test_rows_timing_tool_times_each_data_command(tmp_path):
@@ -715,10 +744,22 @@ class TestValidation:
     )
     def test_negative_float_with_an_exponent_is_a_value(self, flag):
         # argparse by itself takes "-1e-3" for an option and exits 2 with
-        # "expected one argument", though it reads "-0.001" and "--flag=-1e-3".
+        # "expected one argument", though it reads "-0.001" and "--flag=-1e-3";
+        # so too "-inf" and "-nan", in any case, as float() reads them.
         parse = cli.build_parser().parse_args
-        args = parse(["verify", flag, "-1e-3"])
-        assert args == parse(["verify", f"{flag}=-1e-3"]) and -1e-3 in vars(args).values()
+        for value in ("-1e-3", "-inf", "-INF", "-Infinity", "-iNfInItY", "-nan", "-NaN"):
+            args = parse(["verify", flag, value])
+            # By repr, as nan != nan.
+            assert repr(args) == repr(parse(["verify", f"{flag}={value}"]))
+            assert repr(float(value)) in map(repr, vars(args).values())
+
+    def test_negative_infinity_reaches_the_finite_check(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        with pytest.raises(SystemExit) as status:
+            cli.main(["potential", "--lambda", "-inf", "--output", str(out)])
+        assert status.value.code == 2
+        assert capsys.readouterr().err == "invalid configuration: lam and kappa must be finite\n"
+        assert not out.exists()
 
     def test_negative_exponent_values_run(self, tmp_path):
         with pytest.raises(SystemExit) as status:

@@ -23,7 +23,7 @@ from susypiv import (
     threshold_for,
 )
 from susypiv import cli, grid, kummer, seed, susy, verify
-from susypiv.grid import EXCLUDE_REL, MAX_POINTS, singular
+from susypiv.grid import EXCLUDE_REL, MAX_POINTS, denominator, singular
 from susypiv.verify import BENCHMARK_PARAMS, THRESHOLDS
 
 SET_1 = BENCHMARK_PARAMS[0]
@@ -137,7 +137,7 @@ class TestResidualReport:
         xs = grid.points()
         u, up, _, _ = seed.seed_eval_grid(params, xs)
         assert len(seed.sign_change_brackets(u)) == 1
-        mag, local_scale = seed.u_denominator(u, up)["u"]
+        mag, local_scale = denominator(u, up)
         by_u_rule = (mag < EXCLUDE_REL * (local_scale - 1.0)) | singular(mag, local_scale)
         report = residual_report("annihilation", params, grid)
         assert report.excluded_points == tuple(float(v) for v in xs[by_u_rule])
@@ -684,6 +684,33 @@ def test_eigen_fails_when_beta_is_wrong_at_a_level_energy(lam, default_grid, mon
             continue
         report = residual_report("eigen", params, default_grid, n=n)
         assert report.max_relative > _MUTATION_MARGIN * THRESHOLDS["eigen"], (n, report)
+
+
+def _failed(params, grid, reports):
+    """The labels of ``reports`` that FAIL on ``grid``."""
+    got = [residual_report(kind, params, grid, n=n) for kind, n in reports]
+    return [r.kind for r in got if not r.max_relative <= threshold_for(r.kind)]
+
+
+@pytest.mark.parametrize("params", BENCHMARK_PARAMS, ids=PARAM_IDS)
+def test_partner_checks_score_the_forms_the_commands_write(params, default_grid, monkeypatch):
+    # eigen(0..3) and new_state read susy._vt, the V~ that `potential` writes,
+    # and annihilation reads susy._beta_pp, the beta'' behind piv's g'': a
+    # 1e-5 relative error in the beta' term of the one, or in the other, fails
+    # them on every set.
+    everything = [("eigen", n) for n in range(4)] + [("new_state", None), ("annihilation", None)]
+    assert _failed(params, default_grid, everything) == []
+    vt, beta_pp = susy._vt, susy._beta_pp
+    xs = default_grid.points()
+    exact = susy.partner_potential(params, xs)
+    monkeypatch.setattr(susy, "_vt", lambda t, bp: vt(t, bp * (1.0 + 1e-5)))
+    assert not np.array_equal(susy.partner_potential(params, xs), exact)
+    assert _failed(params, default_grid, everything) == [
+        "eigen(0)", "eigen(1)", "eigen(2)", "eigen(3)", "new_state"
+    ]
+    monkeypatch.setattr(susy, "_vt", vt)
+    monkeypatch.setattr(susy, "_beta_pp", lambda t, b, bp: beta_pp(t, b, bp) * (1.0 + 1e-5))
+    assert _failed(params, default_grid, everything) == ["annihilation"]
 
 
 def test_a_wide_grid_catches_a_wrong_beta(monkeypatch):
